@@ -157,6 +157,15 @@ def second_moment_check(system, q, h, tol=1e-9):
 # ---------------------------------------------------------------------------
 # discrepancy
 
+_INT64_LIMIT = 2**63
+
+
+def _require_int64(value, what):
+    """Refuse an exact scan whose integer scores would pass the int64 range."""
+    if value >= _INT64_LIMIT:
+        raise ValueError(f"{what} = {value} is at least 2^63, past the int64 range of the exact scan")
+
+
 def _closed_arc_scan(u, counts, q):
     """Exact sup over closed arcs of (mass - length), scaled by N*q.
 
@@ -165,9 +174,11 @@ def _closed_arc_scan(u, counts, q):
     wrap-around case gives the same difference, so the sup is
     max(A) - min(B). By circle complementation this also equals the sup
     over open arcs of (length - mass), hence the full discrepancy.
-    Returns (numerator, start_index, end_index); denominator is N*q.
+    Returns (numerator, start_index, end_index); denominator is N*q, which
+    must stay below 2^63.
     """
     N = int(counts.sum())
+    _require_int64(N * q, "N*q")
     pref = np.cumsum(counts)
     A = q * pref - N * u
     B = A - q * counts
@@ -182,6 +193,8 @@ def interval_discrepancy(ps):
     if ps.dimension != 1:
         raise ValueError(f"interval discrepancy requires n=1, got n={ps.dimension}")
     q = ps.denominator
+    # numerators lie below q, so this also keeps them inside int64
+    _require_int64(len(ps.numerators) * q, "N*q")
     raw = np.fromiter((t[0] for t in ps.numerators), dtype=np.int64, count=len(ps.numerators))
     u, counts = np.unique(raw, return_counts=True)
     num, i, j = _closed_arc_scan(u, counts, q)
@@ -238,8 +251,9 @@ def _axis_candidates(coord, q):
 
 def _box_exact_2d(ps, budget):
     q = ps.denominator
+    N = len(ps.numerators)
+    _require_int64(N * q * q, "N*q^2")
     pts = np.array(ps.numerators, dtype=np.int64)
-    N = len(pts)
     ux, mcx, lcx, mox, lox = _axis_candidates(pts[:, 0], q)
     uy, mcy, lcy, moy, loy = _axis_candidates(pts[:, 1], q)
     cost = len(lcx) * len(lcy)
@@ -511,13 +525,17 @@ def _count_in_interval(u, q, lo, hi):
     return right - left
 
 
+class NoSupportedModuliError(ValueError):
+    """No modulus q <= x (with the requested number of prime factors) has a
+    nonempty A_q, so there is nothing to average."""
+
+
 def aggregate_stats(
     system,
     x,
     weighting="uniform",
     k=None,
     region=None,
-    threads=1,
     include_per_q=False,
     disc_mode="auto",
     H="auto",
@@ -538,17 +556,9 @@ def aggregate_stats(
         spf = None
     else:
         spf = spf_table(x)
-    rows = []
-    qs = []
-    if k is None and x >= 1:
-        qs.append((1, ()))
-    for q in range(2, x + 1):
-        parts = spf_factor(q, spf)
-        if k is not None and len(parts) != k:
-            continue
-        qs.append((q, tuple(parts)))
-
     exact_1d = n == 1 and disc_mode in ("auto", "exact")
+    if not exact_1d and disc_mode != "exact":
+        h_val = H if isinstance(H, int) else _auto_H(system, x)
 
     def handle(q, parts):
         if q == 1:
@@ -576,7 +586,6 @@ def aggregate_stats(
             disc = box_discrepancy(ps, mode="exact", budget=budget).value
             method = "exact"
         else:
-            h_val = H if isinstance(H, int) else _auto_H(system, x)
             disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
             method = "erdos_turan"
         mass_count = None
@@ -590,28 +599,17 @@ def aggregate_stats(
             mass_count = int(inside.sum())
         return (q, rho, disc, mass_count, method)
 
-    if threads > 1 and len(qs) > 64:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(len(qs)), threads * 4)
-        results = [None] * len(qs)
-
-        def work(idx_arr):
-            for i in idx_arr:
-                q, parts = qs[i]
-                results[i] = handle(q, parts)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-        rows = [r for r in results if r is not None]
-    else:
-        for q, parts in qs:
-            r = handle(q, parts)
-            if r is not None:
-                rows.append(r)
+    rows = []
+    for q in range(1 if k is None else 2, x + 1):
+        parts = tuple(spf_factor(q, spf)) if q > 1 else ()
+        if k is not None and len(parts) != k:
+            continue
+        r = handle(q, parts)
+        if r is not None:
+            rows.append(r)
 
     if not rows:
-        raise ValueError(f"no supported moduli up to {x}" + (f" with k={k}" if k else ""))
+        raise NoSupportedModuliError(f"no supported moduli up to {x}" + (f" with k={k}" if k else ""))
     count = len(rows)
     total = sum(r[1] for r in rows)
     if weighting == "uniform":

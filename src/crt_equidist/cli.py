@@ -48,7 +48,10 @@ def _add_global_flags(p, toplevel):
     p.add_argument("--config", default=d(None), help="config file of 'key = value' lines")
     p.add_argument("--out", default=d("out"), help="output directory (default: out)")
     p.add_argument(
-        "--threads", type=int, default=d(None), help="worker threads (default: CRT_EQUIDIST_THREADS or 1)"
+        "--threads",
+        type=int,
+        default=d(None),
+        help="accepted and checked to be >= 1 (default: CRT_EQUIDIST_THREADS or 1); every run is single-threaded",
     )
     p.add_argument("--quiet", action="store_true", default=d(False), help="suppress timing on stderr")
 
@@ -117,6 +120,8 @@ def _cli_overrides(args):
 
 
 def _resolve_threads(args):
+    """Validate --threads or CRT_EQUIDIST_THREADS. The count selects nothing:
+    every run is single-threaded, so its reports match at any value."""
     if args.threads is not None:
         n = args.threads
     else:
@@ -127,7 +132,6 @@ def _resolve_threads(args):
             raise UsageError(f"CRT_EQUIDIST_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise UsageError(f"thread count must be >= 1, got {n}")
-    return n
 
 
 def _system_spec(cfg):
@@ -163,19 +167,19 @@ def _write_report(writer, report):
     writer.write_text("report.csv", report.to_csv())
 
 
-def _cmd_sweep(cfg, threads, writer):
+def _cmd_sweep(cfg, writer):
     if cfg.theorem in (3, 4) and cfg.k is None:
         raise UsageError(f"theorem {cfg.theorem} sweeps need --k")
-    _write_report(writer, run_theorem_sweep(cfg, threads=threads))
+    _write_report(writer, run_theorem_sweep(cfg))
 
 
-def _cmd_table(cfg, threads, writer):
+def _cmd_table(cfg, writer):
     if (cfg.pseudo is None) == (cfg.poly is None):
         raise UsageError("table needs exactly one of --pseudo or --poly")
     if cfg.x is None:
         raise UsageError("table needs --x")
     spec = cfg.pseudo if cfg.pseudo else _poly_from_string(cfg.poly)
-    hist, moments, reference = poisson_table(spec, cfg.x, threads=threads, profile=cfg.profile)
+    hist, moments, reference = poisson_table(spec, cfg.x, profile=cfg.profile)
     is_poisson = cfg.pseudo is not None and cfg.profile is None
     rows = tuple(
         (k, int(hist[k]), float(reference[k]) if reference is not None else None)
@@ -204,11 +208,11 @@ def _cmd_table(cfg, threads, writer):
     )
 
 
-def _cmd_counterexample(cfg, threads, writer):
-    _write_report(writer, counterexample_contrast(cfg, threads=threads))
+def _cmd_counterexample(cfg, writer):
+    _write_report(writer, counterexample_contrast(cfg))
 
 
-def _cmd_primes(cfg, threads, writer):
+def _cmd_primes(cfg, writer):
     if cfg.x is None:
         raise UsageError("primes needs --x")
     system = build_system(_system_spec(cfg))
@@ -227,7 +231,7 @@ def _cmd_primes(cfg, threads, writer):
     _write_report(writer, report)
 
 
-def _cmd_expsum(cfg, threads, writer):
+def _cmd_expsum(cfg, writer):
     if cfg.f1 is None:
         raise UsageError("expsum needs --f1")
     spec = RationalExpSumSpec(_poly_from_string(cfg.f1), _poly_from_string(cfg.f2))
@@ -253,7 +257,7 @@ def _cmd_expsum(cfg, threads, writer):
     _write_report(writer, report)
 
 
-def _cmd_ffield(cfg, threads, writer):
+def _cmd_ffield(cfg, writer):
     if cfg.curve is None:
         raise UsageError("ffield needs --curve")
     if not cfg.p_set:
@@ -283,7 +287,7 @@ def _cmd_ffield(cfg, threads, writer):
     _write_report(writer, report)
 
 
-def _cmd_disc(cfg, threads, writer):
+def _cmd_disc(cfg, writer):
     if cfg.q is None:
         raise UsageError("disc needs --q")
     system = build_system(_system_spec(cfg))
@@ -330,12 +334,12 @@ def main(argv=None):
             cfg = ExperimentConfig.from_mapping(mapping)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        threads = _resolve_threads(args)
+        _resolve_threads(args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         writer = _OutputWriter(outdir)
         writer.write_text("config.txt", "\n".join(cfg.to_lines()) + "\n")
-        _HANDLERS[args.cmd](cfg, threads, writer)
+        _HANDLERS[args.cmd](cfg, writer)
         writer.write_manifest()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

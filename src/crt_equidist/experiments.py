@@ -2,8 +2,8 @@
 histograms with Poisson reference rows, the initial-segment counterexample
 contrast, and averaged Weyl sums over prime moduli.
 
-Reports are deterministic functions of (config, seed): thread count is not a
-config field and never leaks into report bytes; timing goes to stderr only.
+Every driver runs single-threaded, and its report is a deterministic
+function of the config (seed included); timing goes to stderr only.
 """
 
 import json
@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import (
+    NoSupportedModuliError,
     aggregate_stats,
     damped_reciprocal_prime_sum,
     reciprocal_prime_sum,
@@ -252,7 +253,7 @@ def _parse_H(text):
     return "auto" if text == "auto" else int(text)
 
 
-def run_theorem_sweep(config, threads=1):
+def run_theorem_sweep(config):
     """Average discrepancy over supported moduli at each ladder point,
     against the matching bound factor; the fitted constant is the ratio."""
     sys_obj = build_system(config.system)
@@ -272,12 +273,11 @@ def run_theorem_sweep(config, threads=1):
                 x,
                 weighting=config.weighting,
                 k=config.k,
-                threads=threads,
                 disc_mode=config.disc_mode,
                 H=H,
                 budget=config.budget,
             )
-        except ValueError:
+        except NoSupportedModuliError:
             rows.append((x, 0, 0, None, None, None, None, None, None, False, "", True))
             continue
         tb = theorem_bound(config.theorem, sys_obj, x, k=config.k, alpha=alpha, strict=False)
@@ -324,10 +324,10 @@ def run_theorem_sweep(config, threads=1):
 # root-count tables
 
 def _root_count_chunk(pp, P):
-    """Root counts of a pseudo-polynomial for a sorted block of primes.
+    """Root counts of a pseudo-polynomial for sorted primes P.
 
     One shared pass of f(n) = 1 + sign*n*f(n-1): column j tracks f mod P[j]
-    and retires once n reaches P[j], so the block costs sum(P) steps."""
+    and retires once n reaches P[j], so the pass costs sum(P) steps."""
     P = np.ascontiguousarray(P, dtype=np.int64)
     m = len(P)
     sign = pp.sign
@@ -345,41 +345,23 @@ def _root_count_chunk(pp, P):
     return R
 
 
-def pseudo_root_counts(which, x, threads=1):
+def pseudo_root_counts(which, x):
     """(primes <= x, root count mod each prime) for a pseudo-polynomial.
 
-    Total work is sum of p over p <= x; blocks of consecutive primes can go
-    to separate workers, and the merge is a pure concatenation, so results
-    do not depend on the thread count."""
+    One shared pass over all primes; total work is sum of p over p <= x."""
     pp = _as_pseudo(which)
     primes = prime_array(x)
     if len(primes) == 0:
         return primes, np.zeros(0, dtype=np.int64)
-    if threads > 1 and len(primes) >= 256:
-        chunks = np.array_split(primes, threads * 4)
-    else:
-        chunks = [primes]
-    parts = [None] * len(chunks)
-
-    def work(i):
-        parts[i] = _root_count_chunk(pp, chunks[i])
-
-    if len(chunks) == 1:
-        work(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(len(chunks))))
-    return primes, np.concatenate(parts)
+    return primes, _root_count_chunk(pp, primes)
 
 
-def poisson_table(spec, x, threads=1, profile=None):
+def poisson_table(spec, x, profile=None):
     """Histogram of root counts mod p over p <= x, the first four moments,
     and a reference row: Poisson mass pi(x)/(e k!) for pseudo-polynomials,
     or a supplied fixed-point probability profile for polynomials."""
     if isinstance(spec, (str, PseudoPoly)):
-        primes, counts = pseudo_root_counts(spec, x, threads=threads)
+        primes, counts = pseudo_root_counts(spec, x)
         poisson_ref = profile is None
     elif isinstance(spec, IntPolynomial):
         primes = prime_array(x)
@@ -427,7 +409,7 @@ def render_poisson_text(hist, moments, reference, moment_reference=(1.0, 2.0, 5.
 # ---------------------------------------------------------------------------
 # counterexample contrast and prime-moduli averages
 
-def counterexample_contrast(config, threads=1):
+def counterexample_contrast(config):
     """Mass of [0, epsilon] under the point-count-weighted aggregate
     measure for the initial-segment system, side by side with the
     uniform-weighted average discrepancy, per ladder point. Also reports
@@ -436,10 +418,8 @@ def counterexample_contrast(config, threads=1):
     sys_obj = initial_segment_system()
     rows = []
     for x in config.ladder:
-        mass_stats = aggregate_stats(
-            sys_obj, x, weighting="rho", region=(Fraction(0), eps), threads=threads
-        )
-        disc_stats = aggregate_stats(sys_obj, x, weighting="uniform", threads=threads)
+        mass_stats = aggregate_stats(sys_obj, x, weighting="rho", region=(Fraction(0), eps))
+        disc_stats = aggregate_stats(sys_obj, x, weighting="uniform")
         inside = 0
         for p in sieve_primes(x):
             g = segment_length(p)

@@ -28,13 +28,6 @@ class RationalExpSumSpec:
             raise ValueError(f"f2 must be monic, got leading coefficient {self.f2.coeffs[-1]}")
 
 
-def _poly_eval_array(f, ns, m):
-    acc = np.zeros_like(ns)
-    for c in reversed(f.coeffs):
-        acc = (acc * ns + c) % m
-    return acc
-
-
 def normalized_exp_sum(spec, a, q):
     """(1/sqrt(q)) * sum of e(a f1(n) / f2(n) mod q) over n mod q with
     f2(n) invertible. Zero by convention when q is not squarefree or f2
@@ -53,8 +46,8 @@ def normalized_exp_sum(spec, a, q):
     if a == 0:
         warnings.warn("phase multiplier a = 0 mod q: bounds only cover gcd(a, q) = 1", stacklevel=2)
     ns = np.arange(q, dtype=np.int64)
-    f1v = _poly_eval_array(spec.f1, ns, q)
-    f2v = _poly_eval_array(spec.f2, ns, q)
+    f1v = spec.f1(ns, q)
+    f2v = spec.f2(ns, q)
     keep = np.nonzero(np.gcd(f2v, q) == 1)[0]
     if len(keep) == 0:
         return complex(0.0)
@@ -95,12 +88,12 @@ def weil_bound_scan(spec, p_limit):
             per_prime.append((p, 0.0))
             continue
         ns = np.arange(p, dtype=np.int64)
-        f2v = _poly_eval_array(spec.f2, ns, p)
+        f2v = spec.f2(ns, p)
         mask = f2v != 0
         if not mask.any():
             per_prime.append((p, 0.0))
             continue
-        f1v = _poly_eval_array(spec.f1, ns, p)
+        f1v = spec.f1(ns, p)
         inv = pow_mod_array(f2v[mask], p - 2, p)
         t = (f1v[mask] * inv) % p
         counts = np.bincount(t, minlength=p)

@@ -34,6 +34,8 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x, m=None):
+        """Horner evaluation at an integer or elementwise at an int64 array,
+        reduced mod m after every step when m is given."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -204,11 +206,7 @@ def _ppowmod(base, e, f, p):
 
 
 def _roots_mod_p_scan(f, p):
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc = (acc * xs + c) % p
-    return np.flatnonzero(acc == 0).tolist()
+    return np.flatnonzero(f(np.arange(p, dtype=np.int64), p) == 0).tolist()
 
 
 def _roots_mod_p_split(f, p):

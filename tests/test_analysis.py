@@ -2,9 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crt_equidist.analysis import (
+    _closed_arc_scan,
     aggregate_stats,
     box_discrepancy,
     damped_reciprocal_prime_sum,
@@ -250,6 +254,88 @@ def test_box_disc_vs_grid_oracle_random():
         assert float(res.fraction) - float(grid) <= 4 / 100 + 1e-12
 
 
+# int64 headroom: the exact scans score in integers scaled by N*q (1-D) and
+# N*q^2 (2-D); up to 2^63 they stay exact, from there on they must refuse.
+
+INT64_LIMIT = 2**63
+_BOUNDARY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def near_int64_limit(draw, dimension, max_points, below):
+    """(q, points) with N*q^dimension just below 2^63, or at or above it."""
+    N = draw(st.integers(1, max_points))
+    edge = (INT64_LIMIT - 1) // N if dimension == 1 else math.isqrt((INT64_LIMIT - 1) // N)
+    step = draw(st.integers(0, 2**16))
+    q = edge - step if below else edge + 1 + step
+    coord = st.integers(0, q - 1)
+    point = coord if dimension == 1 else st.tuples(coord, coord)
+    return q, draw(st.lists(point, min_size=N, max_size=N))
+
+
+def box_candidates_exact(pts, q):
+    """Exact sup of the 2-D scan's deviation in Python integers: closed
+    boxes with sides between point coordinates (wrapping allowed) for the
+    mass-excess side, open ones for the mass-deficit side, each axis also
+    taking the full circle."""
+    N = len(pts)
+
+    def arcs(axis, closed):
+        out = [(lambda c: True, q)]
+        cs = sorted({pt[axis] for pt in pts})
+        for a in cs:
+            for b in cs:
+                length = (b - a) % q
+                if closed:
+                    out.append((lambda c, a=a, length=length: (c - a) % q <= length, length))
+                elif a == b:
+                    out.append((lambda c, a=a: c != a, q))
+                else:
+                    out.append((lambda c, a=a, length=length: 0 < (c - a) % q < length, length))
+        return out
+
+    best = Fraction(0)
+    for closed in (True, False):
+        for in_x, lx in arcs(0, closed):
+            for in_y, ly in arcs(1, closed):
+                count = sum(1 for x, y in pts if in_x(x) and in_y(y))
+                dev = Fraction(count, N) - Fraction(lx * ly, q * q)
+                best = max(best, dev if closed else -dev)
+    return best
+
+
+@_BOUNDARY
+@given(near_int64_limit(1, 11, below=True))
+def test_interval_disc_exact_below_int64_limit(case):
+    q, nums = case
+    assert interval_discrepancy(torus(nums, q)).fraction == interval_disc_candidates(nums, q)
+
+
+@_BOUNDARY
+@given(near_int64_limit(1, 11, below=False))
+def test_interval_disc_refuses_at_int64_limit(case):
+    q, nums = case
+    with pytest.raises(ValueError, match=r"2\^63"):
+        interval_discrepancy(torus(nums, q))
+    with pytest.raises(ValueError, match=r"2\^63"):
+        _closed_arc_scan(np.zeros(1, dtype=np.int64), np.array([len(nums)]), q)
+
+
+@_BOUNDARY
+@given(near_int64_limit(2, 4, below=True))
+def test_box_disc_exact_below_int64_limit(case):
+    q, pts = case
+    assert box_discrepancy(torus(pts, q, n=2)).fraction == box_candidates_exact(pts, q)
+
+
+@_BOUNDARY
+@given(near_int64_limit(2, 4, below=False))
+def test_box_disc_refuses_at_int64_limit(case):
+    q, pts = case
+    with pytest.raises(ValueError, match=r"2\^63"):
+        box_discrepancy(torus(pts, q, n=2))
+
+
 def test_box_disc_budget_and_modes():
     ps = torus([(1, 2), (2, 4), (3, 1), (4, 3)], 5, n=2)
     with pytest.raises(ValueError, match="bounds"):
@@ -474,14 +560,6 @@ def test_aggregate_validation():
         aggregate_stats(s, 100, weighting="median")
     with pytest.raises(ValueError, match="no supported moduli"):
         aggregate_stats(s, 10, k=3)
-
-
-def test_aggregate_thread_determinism():
-    s = roots_system(X2P1)
-    a = aggregate_stats(s, 400, include_per_q=True)
-    b = aggregate_stats(s, 400, threads=4, include_per_q=True)
-    assert a.disc_average == b.disc_average
-    assert a.per_q == b.per_q
 
 
 def test_aggregate_2d_paths():

@@ -137,6 +137,10 @@ def test_computational_error_exit(run_cli, tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
     run_cli(["table", "--poly", "1,x", "--x", "100", "--quiet", "--out", out], expect=1)
     capsys.readouterr()
+    # an exact scan over budget is an error, not a sweep row without moduli
+    run_cli(["sweep", "--system", "graph:1,0,1:0,0,1", "--ladder", "30", "--disc-mode", "exact",
+             "--budget", "1", "--quiet", "--out", out], expect=1)
+    assert "over budget" in capsys.readouterr().err
 
 
 def test_disc_outputs(run_cli, tmp_path):
