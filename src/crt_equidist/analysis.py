@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .crt_sets import ResidueSet, TorusPointSet, fractional_points, numerators_1d, point_count, hyperplane_max, residue_set, supported_moduli
-from .modarith import factor_tuples, sieve_primes, spf_factor, spf_table
+from .crt_sets import ResidueSet, TorusPointSet, fractional_points, point_count, hyperplane_max, residue_set, supported_moduli
+from .modarith import factor_tuples, require_int64, sieve_primes, spf_factor, spf_table
 
 
 @dataclass
@@ -61,9 +61,9 @@ def _points_of(source):
     if isinstance(source, ResidueSet):
         if source.size == 0:
             raise ValueError(f"A_{source.q} is empty")
-        return source.q, np.array(source.points, dtype=np.int64)
+        return source.q, source.array
     if isinstance(source, TorusPointSet):
-        return source.denominator, np.array(source.numerators, dtype=np.int64)
+        return source.denominator, source.array
     raise TypeError(f"expected ResidueSet or TorusPointSet, got {type(source).__name__}")
 
 
@@ -157,15 +157,6 @@ def second_moment_check(system, q, h, tol=1e-9):
 # ---------------------------------------------------------------------------
 # discrepancy
 
-_INT64_LIMIT = 2**63
-
-
-def _require_int64(value, what):
-    """Refuse an exact scan whose integer scores would pass the int64 range."""
-    if value >= _INT64_LIMIT:
-        raise ValueError(f"{what} = {value} is at least 2^63, past the int64 range of the exact scan")
-
-
 def _closed_arc_scan(u, counts, q):
     """Exact sup over closed arcs of (mass - length), scaled by N*q.
 
@@ -178,7 +169,7 @@ def _closed_arc_scan(u, counts, q):
     must stay below 2^63.
     """
     N = int(counts.sum())
-    _require_int64(N * q, "N*q")
+    require_int64(N * q, "N*q")
     pref = np.cumsum(counts)
     A = q * pref - N * u
     B = A - q * counts
@@ -193,9 +184,8 @@ def interval_discrepancy(ps):
     if ps.dimension != 1:
         raise ValueError(f"interval discrepancy requires n=1, got n={ps.dimension}")
     q = ps.denominator
-    # numerators lie below q, so this also keeps them inside int64
-    _require_int64(len(ps.numerators) * q, "N*q")
-    raw = np.fromiter((t[0] for t in ps.numerators), dtype=np.int64, count=len(ps.numerators))
+    raw = ps.array[:, 0]
+    require_int64(len(raw) * q, "N*q")
     u, counts = np.unique(raw, return_counts=True)
     num, i, j = _closed_arc_scan(u, counts, q)
     den = len(raw) * q
@@ -251,9 +241,9 @@ def _axis_candidates(coord, q):
 
 def _box_exact_2d(ps, budget):
     q = ps.denominator
-    N = len(ps.numerators)
-    _require_int64(N * q * q, "N*q^2")
-    pts = np.array(ps.numerators, dtype=np.int64)
+    pts = ps.array
+    N = len(pts)
+    require_int64(N * q * q, "N*q^2")
     ux, mcx, lcx, mox, lox = _axis_candidates(pts[:, 0], q)
     uy, mcy, lcy, moy, loy = _axis_candidates(pts[:, 1], q)
     cost = len(lcx) * len(lcy)
@@ -310,7 +300,7 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
 
     q = ps.denominator
     n = ps.dimension
-    pts = np.array(ps.numerators, dtype=np.int64)
+    pts = ps.array
     N = len(pts)
     rng = _random.Random(seed)
     axes = [np.unique(pts[:, a]) for a in range(n)]
@@ -514,17 +504,6 @@ def _region_fractions(region, n):
     return tuple((Fraction(lo), Fraction(hi)) for lo, hi in region)
 
 
-def _count_in_interval(u, q, lo, hi):
-    """Points (sorted numerators) with lo <= u/q <= hi, exact endpoints."""
-    lo_t = math.ceil(lo * q)
-    hi_t = math.floor(hi * q)
-    if hi_t < lo_t:
-        return 0
-    left = int(np.searchsorted(u, lo_t, side="left"))
-    right = int(np.searchsorted(u, hi_t, side="right"))
-    return right - left
-
-
 class NoSupportedModuliError(ValueError):
     """No modulus q <= x (with the requested number of prime factors) has a
     nonempty A_q, so there is nothing to average."""
@@ -561,41 +540,31 @@ def aggregate_stats(
         h_val = H if isinstance(H, int) else _auto_H(system, x)
 
     def handle(q, parts):
-        if q == 1:
-            rho = 1
-            u = np.zeros(1, dtype=np.int64)
-        else:
-            rho = 1
-            for p, v in parts:
-                rho *= system.local_size(p, v)
-                if rho == 0:
-                    return None
-            u = None
+        rho = 1
+        for p, v in parts:
+            rho *= system.local_size(p, v)
+            if rho == 0:
+                return None
         if exact_1d:
-            if u is None:
-                u = numerators_1d(system, q, list(parts))
-            num, _, _ = _closed_arc_scan(u, np.ones(len(u), dtype=np.int64), q)
-            disc = num / (len(u) * q)
-            mass_count = _count_in_interval(u, q, reg[0][0], reg[0][1]) if reg else None
-            return (q, rho, disc, mass_count, "exact")
-        rs = residue_set(system, q)
-        if rs.size == 0:
-            return None
-        ps = fractional_points(rs)
-        if disc_mode == "exact":
-            disc = box_discrepancy(ps, mode="exact", budget=budget).value
+            # the SPF factors are at hand; the scan needs no TorusPointSet
+            pts = residue_set(system, q, parts).array
+            num, _, _ = _closed_arc_scan(pts[:, 0], np.ones(len(pts), dtype=np.int64), q)
+            disc = num / (len(pts) * q)
             method = "exact"
         else:
-            disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
-            method = "erdos_turan"
+            ps = fractional_points(residue_set(system, q))
+            pts = ps.array
+            if disc_mode == "exact":
+                disc = box_discrepancy(ps, mode="exact", budget=budget).value
+                method = "exact"
+            else:
+                disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
+                method = "erdos_turan"
         mass_count = None
         if reg:
-            pts = np.array(ps.numerators, dtype=np.int64)
             inside = np.ones(len(pts), dtype=bool)
             for axis, (lo, hi) in enumerate(reg):
-                lo_t = math.ceil(lo * q)
-                hi_t = math.floor(hi * q)
-                inside &= (pts[:, axis] >= lo_t) & (pts[:, axis] <= hi_t)
+                inside &= (pts[:, axis] >= math.ceil(lo * q)) & (pts[:, axis] <= math.floor(hi * q))
             mass_count = int(inside.sum())
         return (q, rho, disc, mass_count, method)
 

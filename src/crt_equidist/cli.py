@@ -78,11 +78,11 @@ def _build_parser():
         "average discrepancy vs theorem bound along an x ladder",
         ("system", "poly", "pseudo", "ladder", "theorem", "k", "weighting", "H", "disc_mode", "budget", "alpha", "seed"),
     )
-    add("table", "root-count histogram, moments, reference row", ("pseudo", "poly", "x", "profile", "seed"))
-    add("counterexample", "aggregate-measure mass vs uniform average disc", ("epsilon", "ladder", "seed"))
-    add("primes", "averaged Weyl sums over prime moduli", ("system", "poly", "pseudo", "x", "h_set", "seed"))
-    add("expsum", "normalized rational exponential sums", ("f1", "f2", "a", "q", "p_limit", "seed"))
-    add("ffield", "point-count Weyl sums along a plane curve", ("curve", "p_set", "h_set", "seed"))
+    add("table", "root-count histogram, moments, reference row", ("pseudo", "poly", "x", "profile"))
+    add("counterexample", "aggregate-measure mass vs uniform average disc", ("epsilon", "ladder"))
+    add("primes", "averaged Weyl sums over prime moduli", ("system", "poly", "pseudo", "x", "h_set"))
+    add("expsum", "normalized rational exponential sums", ("f1", "f2", "a", "q", "p_limit"))
+    add("ffield", "point-count Weyl sums along a plane curve", ("curve", "p_set", "h_set"))
     add("disc", "discrepancy of a single modulus", ("system", "poly", "pseudo", "q", "H", "disc_mode", "budget", "seed"))
     return ap
 

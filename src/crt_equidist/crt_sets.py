@@ -5,10 +5,11 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .modarith import Factorization, PrimePower, factor_tuples, mod_inverse, sieve_primes, spf_factor, spf_table
+from .modarith import INT64_LIMIT, factor_tuples, mod_inverse, require_int64, sieve_primes, spf_factor, spf_table
 
 DEFAULT_SUPPORT = 2**62
 
@@ -72,16 +73,23 @@ class LocalSystem:
         return len(self.local_set(p, v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueSet:
-    q: int
-    factorization: Factorization
-    points: tuple
-    size: int
+    """A_q as an (N, n) int64 array of numerator rows in lexicographic
+    order; `factorization` holds the (p, v) pairs of q."""
 
-    def __post_init__(self):
-        if self.size != len(self.points):
-            raise ValueError("size does not match point count")
+    q: int
+    factorization: tuple
+    array: np.ndarray
+
+    @property
+    def size(self):
+        return len(self.array)
+
+    @cached_property
+    def points(self):
+        """Read-only tuple view of the rows."""
+        return tuple(map(tuple, self.array.tolist()))
 
 
 @dataclass(frozen=True)
@@ -91,53 +99,72 @@ class ModulusSet:
     members: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusPointSet:
     """The multiset {a/q} on the torus as exact rationals: integer numerator
-    tuples over a common denominator, uniformly weighted."""
+    rows over a common denominator, uniformly weighted. `array` accepts any
+    (N, n) integer sequence and is stored as a read-only int64 array."""
 
     dimension: int
     denominator: int
-    numerators: tuple
+    array: np.ndarray
     weight: Fraction
 
     def __post_init__(self):
-        if not self.numerators:
-            raise ValueError("point set must be nonempty")
         q = self.denominator
-        for t in self.numerators:
-            if len(t) != self.dimension or any(c < 0 or c >= q for c in t):
-                raise ValueError(f"numerator {t} not canonical mod {q}")
+        require_int64(q, "denominator q")
+        arr = np.array(self.array, dtype=np.int64)
+        if arr.size == 0:
+            raise ValueError("point set must be nonempty")
+        if arr.ndim != 2 or arr.shape[1] != self.dimension:
+            raise ValueError(f"numerators of shape {arr.shape} do not have dimension {self.dimension}")
+        bad = ((arr < 0) | (arr >= q)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"numerator {tuple(arr[bad][0].tolist())} not canonical mod {q}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
+
+    @cached_property
+    def numerators(self):
+        """Read-only tuple view of the rows."""
+        return tuple(map(tuple, self.array.tolist()))
 
 
-def _combine_points(pts_a, mod_a, pts_b, mod_b):
-    """CRT-combine two point lists coordinatewise (coprime moduli)."""
-    inv = mod_inverse(mod_a % mod_b, mod_b)
-    out = []
-    for xa in pts_a:
-        for xb in pts_b:
-            out.append(tuple(ca + mod_a * (((cb - ca) * inv) % mod_b) for ca, cb in zip(xa, xb)))
-    return out
+def local_array(system, p, v=1):
+    """The local set at p^v as an (L, n) int64 array, rows sorted."""
+    return np.array(system.local_set(p, v), dtype=np.int64).reshape(-1, system.dimension)
 
 
-def residue_set(system, q):
-    """Assemble A_q from the local sets at the prime powers dividing q."""
+def residue_set(system, q, parts=None):
+    """Assemble A_q from the local sets at the prime powers dividing q, as
+    one int64 array. `parts`, when given, are the (p, v) pairs of q.
+
+    Each CRT step joins x mod m with y mod p^v, solving for the digit
+    modulo the smaller of the two moduli, so every product stays below
+    m * p^v <= q < 2^63."""
+    require_int64(q, "modulus q")
     n = system.dimension
-    if q == 1:
-        fac = Factorization(1, ())
-        pt = ((0,) * n,)
-        return ResidueSet(1, fac, pt, 1)
-    parts = factor_tuples(q)
-    pts = [(0,) * n]
+    parts = tuple(factor_tuples(q) if parts is None else parts)
+    arr = np.zeros((1, n), dtype=np.int64)
     m = 1
     for p, v in parts:
-        local = system.local_set(p, v)
-        if not local:
-            return ResidueSet(q, Factorization(q, tuple(PrimePower(p_, v_) for p_, v_ in parts)), (), 0)
-        pts = _combine_points(pts, m, local, p**v) if m > 1 else [tuple(t) for t in local]
-        m *= p**v
-    fac = Factorization(q, tuple(PrimePower(p_, v_) for p_, v_ in parts))
-    return ResidueSet(q, fac, tuple(sorted(pts)), len(pts))
+        local, pv = local_array(system, p, v), p**v
+        # every row z of the join has z = x (mod m) and z = y (mod pv); the
+        # difference is below the larger modulus, the inverse below the other
+        x, y = arr[:, None, :], local[None, :, :]
+        if m == 1 or len(local) == 0:
+            arr = local
+        elif pv <= m:
+            arr = (x + m * ((y - x) * mod_inverse(m, pv) % pv)).reshape(-1, n)
+        else:
+            arr = (y + pv * ((x - y) * mod_inverse(pv, m) % m)).reshape(-1, n)
+        if len(arr) == 0:
+            break
+        m *= pv
+    if len(parts) > 1:
+        arr = np.sort(arr, axis=0) if n == 1 else arr[np.lexsort(arr.T[::-1])]
+    arr.setflags(write=False)
+    return ResidueSet(q, parts, arr)
 
 
 def point_count(system, q):
@@ -189,14 +216,13 @@ def _scan_hyperplane_max(system, p, v):
     n = system.dimension
     if n == 1 and v == 1:
         return 1 if system.local_size(p, 1) > 0 else 0
-    pts = system.local_set(p, v)
-    if len(pts) <= 1:
+    arr = local_array(system, p, v)
+    if len(arr) <= 1:
         # a single point lies on a hyperplane and no hyperplane holds more
-        return len(pts)
-    if n > 1 and n * (p**v - 1) ** 2 >= 2**63:
+        return len(arr)
+    if n > 1 and n * (p**v - 1) ** 2 >= INT64_LIMIT:
         raise ValueError(f"hyperplane scan mod {p}^{v} in dimension {n} overflows int64")
-    arr = np.array(pts, dtype=np.int64)
-    rows = max(1, _HYPERPLANE_BLOCK // len(pts))
+    rows = max(1, _HYPERPLANE_BLOCK // len(arr))
     best = 0
     for w in range(1, v + 1):
         pw = p**w
@@ -207,7 +233,7 @@ def _scan_hyperplane_max(system, p, v):
             blocks = ((red @ dirs.T) % pw for dirs in _primitive_direction_blocks(n, p, w, rows))
         for values in blocks:
             best = max(best, _longest_run(values))
-            if best == len(pts):
+            if best == len(arr):
                 return best
     return best
 
@@ -273,8 +299,7 @@ def fractional_points(rs):
     """The torus points a/q of a nonempty residue set, exact rationals."""
     if rs.size == 0:
         raise ValueError(f"measure undefined: A_{rs.q} is empty")
-    n = len(rs.points[0])
-    return TorusPointSet(n, rs.q, rs.points, Fraction(1, rs.size))
+    return TorusPointSet(rs.array.shape[1], rs.q, rs.array, Fraction(1, rs.size))
 
 
 def prime_support_stat(system, x):
@@ -286,29 +311,11 @@ def prime_support_stat(system, x):
 
 
 def numerators_1d(system, q, parts=None):
-    """Sorted int64 array of the numerators of A_q for a 1-dimensional
-    system. Vectorized CRT; the workhorse behind large aggregations."""
+    """Sorted int64 numerators of A_q for a 1-dimensional system: a view of
+    the `residue_set` array."""
     if system.dimension != 1:
         raise ValueError("numerators_1d requires a 1-dimensional system")
-    if q == 1:
-        return np.zeros(1, dtype=np.int64)
-    if parts is None:
-        parts = factor_tuples(q)
-    cur = None
-    m = 1
-    for p, v in parts:
-        pv = p**v
-        local = np.fromiter((t[0] for t in system.local_set(p, v)), dtype=np.int64)
-        if local.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if cur is None:
-            cur = local
-        else:
-            inv = mod_inverse(m % pv, pv)
-            shift = ((local[None, :] - cur[:, None]) * inv) % pv
-            cur = (cur[:, None] + m * shift).ravel()
-        m *= pv
-    return np.sort(cur)
+    return residue_set(system, q, parts).array[:, 0]
 
 
 def load_local_system(path, dimension=None, support_limit=None, name=None):

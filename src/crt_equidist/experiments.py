@@ -20,7 +20,7 @@ from .analysis import (
     reciprocal_prime_sum,
     theorem_bound,
 )
-from .crt_sets import load_local_system, prime_support_stat
+from .crt_sets import load_local_system, local_array, prime_support_stat
 from .generators import (
     IntPolynomial,
     PseudoPoly,
@@ -413,13 +413,15 @@ def counterexample_contrast(config):
     """Mass of [0, epsilon] under the point-count-weighted aggregate
     measure for the initial-segment system, side by side with the
     uniform-weighted average discrepancy, per ladder point. Also reports
-    the explicit prime-only lower bound for the mass."""
+    the explicit prime-only lower bound for the mass. One rho-weighted pass
+    per ladder point yields both: its per-modulus discrepancies give the
+    uniform average."""
     eps = Fraction(config.epsilon)
     sys_obj = initial_segment_system()
     rows = []
     for x in config.ladder:
-        mass_stats = aggregate_stats(sys_obj, x, weighting="rho", region=(Fraction(0), eps))
-        disc_stats = aggregate_stats(sys_obj, x, weighting="uniform")
+        mass_stats = aggregate_stats(sys_obj, x, weighting="rho", region=(Fraction(0), eps), include_per_q=True)
+        uniform_disc = math.fsum(d for _, _, d in mass_stats.per_q) / mass_stats.modulus_count
         inside = 0
         for p in sieve_primes(x):
             g = segment_length(p)
@@ -432,7 +434,7 @@ def counterexample_contrast(config):
                 mass_stats.point_total,
                 float(mass_stats.region_mass),
                 inside / mass_stats.point_total,
-                disc_stats.disc_average,
+                uniform_disc,
             )
         )
     return ExperimentReport(
@@ -455,9 +457,9 @@ def prime_weyl_averages(system, x, h_set):
         raise ValueError(f"no primes up to {x}")
     supported = []
     for p in primes:
-        pts = system.local_set(p, 1)
-        if pts:
-            supported.append((p, np.array([t[0] for t in pts], dtype=np.int64)))
+        arr = local_array(system, p)[:, 0]
+        if len(arr):
+            supported.append((p, arr))
     if not supported:
         raise ValueError(f"no supported primes up to {x}")
     out = {}

@@ -8,6 +8,14 @@ import numpy as np
 
 _SEGMENT = 1 << 20
 
+INT64_LIMIT = 2**63
+
+
+def require_int64(value, what):
+    """Refuse an int64 computation whose integers would reach 2^63."""
+    if value >= INT64_LIMIT:
+        raise ValueError(f"{what} = {value} is at least 2^63, past the int64 range")
+
 
 def _simple_sieve(limit):
     """Boolean array sieve; index i is True iff i is prime."""

@@ -101,6 +101,8 @@ def test_usage_errors(run_cli, tmp_path, capsys):
     run_cli(["ffield", "--curve", "2,0,1;0,1,-1", "--quiet", "--out", out], expect=2)
     run_cli(["sweep", "--ladder", "10,abc", "--quiet", "--out", out], expect=2)
     run_cli(["sweep", "--threads", "0", "--quiet", "--out", out], expect=2)
+    # table draws no random numbers, so it takes no --seed
+    run_cli(["table", "--pseudo", "f1", "--x", "100", "--seed", "1", "--quiet", "--out", out], expect=2)
     run_cli(["nonsense"], expect=2)
     capsys.readouterr()
 
@@ -141,6 +143,13 @@ def test_computational_error_exit(run_cli, tmp_path, capsys):
     run_cli(["sweep", "--system", "graph:1,0,1:0,0,1", "--ladder", "30", "--disc-mode", "exact",
              "--budget", "1", "--quiet", "--out", out], expect=1)
     assert "over budget" in capsys.readouterr().err
+    # q = 2^40 * 8388617 is past 2^63, where the int64 CRT assembly stops
+    system = tmp_path / "big.txt"
+    system.write_text("2 40 1,2\n2 40 3,4\n8388617 1 5,6\n", encoding="utf-8")
+    run_cli(["disc", "--system", f"file:{system}", "--q", str(2**40 * 8388617), "--disc-mode", "bounds",
+             "--quiet", "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^63" in err
 
 
 def test_disc_outputs(run_cli, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from crt_equidist.crt_sets import (
     LocalSystem,
+    TorusPointSet,
     fractional_points,
     hyperplane_max,
     hyperplane_max_local,
@@ -18,6 +19,7 @@ from crt_equidist.crt_sets import (
     supported_moduli,
 )
 from crt_equidist.generators import IntPolynomial, full_system, roots_system
+from crt_equidist.modarith import crt_combine
 from oracles import (
     brute_residue_set_1d,
     brute_residue_set_2d,
@@ -105,7 +107,56 @@ def test_residue_set_brute_force_2d():
     s = sys_from_dict(2, sets)
     for q in range(2, 81):
         rs = residue_set(s, q)
-        assert set(rs.points) == brute_residue_set_2d(sets, q)
+        want = brute_residue_set_2d(sets, q)
+        assert set(rs.points) == want
+        # rows come in lexicographic order, the order the float sums follow
+        assert list(rs.points) == sorted(want)
+
+
+def crt_rows(sets, moduli):
+    """Every CRT join of one row per local set, coordinatewise, sorted."""
+    rows = [()]
+    for m in moduli:
+        rows = [r + (t,) for r in rows for t in sorted(sets[m])]
+    n = len(next(iter(sets[moduli[0]])))
+    return sorted(tuple(crt_combine([(t[i], m) for t, m in zip(r, moduli)]) for i in range(n)) for r in rows)
+
+
+def test_residue_set_no_int64_overflow():
+    # (local - cur) * inverse passes 2^63 here although q does not
+    P = 4000000019
+    sets = {7: {(1,), (3,)}, P: {(P - 2,), (P // 2,)}}
+    s = sys_from_dict(1, sets)
+    want = crt_rows(sets, (7, P))
+    assert list(residue_set(s, 7 * P).points) == want
+    assert numerators_1d(s, 7 * P).tolist() == [a for (a,) in want]
+
+
+def test_residue_set_large_moduli_vs_crt_combine():
+    rng = random.Random(808)
+    # pairwise coprime prime powers, products below 2^63, at most one large
+    # prime, so trial division factors q quickly
+    for moduli in ((3**20, 2**31 - 1), (5**13, 4000000019), (2**39, 8388617), (3**38, 5), (7, 3037000493),
+                   (3**5, 25, 1000000007)):
+        for n in (1, 2):
+            # the extreme rows 0 and m - 1 give the largest CRT differences
+            sets = {m: {(0,) * n, (m - 1,) * n} | {tuple(rng.randrange(m) for _ in range(n)) for _ in range(3)}
+                    for m in moduli}
+            s = sys_from_dict(n, sets)
+            q = math.prod(moduli)
+            assert q < 2**63
+            assert list(residue_set(s, q).points) == crt_rows(sets, moduli), moduli
+
+
+def test_residue_set_refuses_at_int64_limit():
+    s = sys_from_dict(2, {2**40: {(1, 2), (3, 4)}, 8388617: {(5, 6)}})
+    with pytest.raises(ValueError, match=r"2\^63"):
+        residue_set(s, 2**40 * 8388617)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        TorusPointSet(1, 2**63, ((1,),), Fraction(1))
+    # just below the limit the numerators are stored exactly
+    big = TorusPointSet(1, 2**63 - 1, ((2**63 - 2,),), Fraction(1))
+    assert big.numerators == ((2**63 - 2,),)
 
 
 def test_point_count_multiplicative():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crt_equidist import analysis
 from crt_equidist.crt_sets import LocalSystem, save_local_system
 from crt_equidist.experiments import (
     ExperimentConfig,
@@ -15,7 +16,7 @@ from crt_equidist.experiments import (
     render_poisson_text,
     run_theorem_sweep,
 )
-from crt_equidist.generators import IntPolynomial, pseudo_poly_roots, roots_system
+from crt_equidist.generators import IntPolynomial, initial_segment_system, pseudo_poly_roots, roots_system
 from crt_equidist.modarith import prime_array, sieve_primes
 
 
@@ -241,6 +242,24 @@ def test_counterexample_quarter_interval():
         assert 0.0 <= row["prime_lower_bound"] <= row["mass"] <= 1.0
     # point totals grow with x
     assert report.rows[1][2] > report.rows[0][2]
+
+
+def test_counterexample_one_scan_per_modulus(monkeypatch):
+    scans = []
+    real_scan = analysis._closed_arc_scan
+
+    def counting_scan(u, counts, q):
+        scans.append(q)
+        return real_scan(u, counts, q)
+
+    monkeypatch.setattr(analysis, "_closed_arc_scan", counting_scan)
+    report = counterexample_contrast(ExperimentConfig(ladder=(2000,), epsilon="1/4"))
+    row = dict(zip(report.columns, report.rows[0]))
+    assert len(scans) == row["moduli"]
+    # the per-modulus values of the one pass give the uniform average
+    monkeypatch.undo()
+    uniform = analysis.aggregate_stats(initial_segment_system(), 2000, weighting="uniform")
+    assert row["uniform_avg_disc"] == uniform.disc_average
 
 
 # ---------------------------------------------------------------------------
