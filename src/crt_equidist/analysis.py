@@ -3,10 +3,11 @@ modulus bracket, exact interval/box discrepancy, Erdos-Turan bounds,
 second-moment checks, reciprocal prime sums, theorem right-hand sides,
 and aggregation over supported moduli."""
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -14,22 +15,32 @@ from .crt_sets import ResidueSet, TorusPointSet, fractional_points, point_count,
 from .modarith import factor_tuples, require_int64, sieve_primes, spf_factor, spf_table
 
 
-@dataclass
+@dataclass(eq=False)
 class WeylSpectrum:
     """Normalized exponential sums W(h) for all nonzero integer frequency
-    vectors with max-norm at most H, in lexicographic order."""
+    vectors with max-norm at most H: `freqs` is the (F, n) int64 array of
+    frequencies in lexicographic order, `values` the matching complex sums."""
 
     q: int
     H: int
-    dimension: int
-    entries: dict
+    freqs: np.ndarray
+    values: np.ndarray
+
+    @property
+    def dimension(self):
+        return self.freqs.shape[1]
+
+    @cached_property
+    def entries(self):
+        """Read-only dict view {frequency tuple: W(h)}."""
+        return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()), self.values.tolist())))
 
     def to_json(self):
         return {
             "q": self.q,
             "H": self.H,
             "method": "weyl_spectrum",
-            "value": [[list(h), w.real, w.imag] for h, w in self.entries.items()],
+            "value": [[h, w.real, w.imag] for h, w in zip(self.freqs.tolist(), self.values.tolist())],
             "witness": None,
             "seed": None,
         }
@@ -67,35 +78,34 @@ def _points_of(source):
     raise TypeError(f"expected ResidueSet or TorusPointSet, got {type(source).__name__}")
 
 
-def _as_hvec(h, n):
+def _as_hvec(h, n, q):
+    """The frequency as an int64 vector of least-absolute residues mod q,
+    refused when a dot product with numerators in [0, q) could reach 2^63."""
     if isinstance(h, int):
         if n != 1:
             raise ValueError(f"scalar frequency given for dimension {n}")
-        return (h,)
+        h = (h,)
     t = tuple(int(c) for c in h)
     if len(t) != n:
         raise ValueError(f"frequency {t} has wrong dimension for n={n}")
-    return t
-
-
-def _phase_table(q):
-    return np.exp((2j * np.pi / q) * np.arange(q))
+    r = [(c + q // 2) % q - q // 2 for c in t]
+    require_int64(sum(map(abs, r)) * (q - 1), "sum|h_i|*(q-1)")
+    return np.array(r, dtype=np.int64)
 
 
 def weyl_sum(source, h):
     """(1/|A|) sum of e(h.x / q) over the set; the frequency-phase dot
     product is reduced mod q in exact integers first."""
     q, pts = _points_of(source)
-    hv = np.array(_as_hvec(h, pts.shape[1]), dtype=np.int64)
-    dots = (pts @ hv) % q
-    return complex(_phase_table(q)[dots].mean())
+    dots = (pts @ _as_hvec(h, pts.shape[1], q)) % q
+    return complex(np.exp((2j * np.pi / q) * dots).mean())
 
 
 def _freq_box(n, H):
-    """Nonzero integer vectors with max-norm <= H, lexicographic."""
-    for h in itertools.product(range(-H, H + 1), repeat=n):
-        if any(h):
-            yield h
+    """Nonzero integer vectors with max-norm <= H as an (F, n) int64 array,
+    lexicographic (the `itertools.product` order)."""
+    box = np.indices((2 * H + 1,) * n, dtype=np.int64).reshape(n, -1).T - H
+    return box[box.any(axis=1)]
 
 
 def weyl_spectrum(source, H):
@@ -103,23 +113,10 @@ def weyl_spectrum(source, H):
         raise ValueError(f"H must be >= 1, got {H}")
     q, pts = _points_of(source)
     n = pts.shape[1]
-    hs = list(_freq_box(n, H))
-    harr = np.array(hs, dtype=np.int64)
-    dots = (pts @ harr.T) % q
-    W = _phase_table(q)[dots].mean(axis=0)
-    return WeylSpectrum(q=q, H=H, dimension=n, entries={h: complex(w) for h, w in zip(hs, W)})
-
-
-def max_norm(h):
-    return max(abs(c) for c in h)
-
-
-def mixed_norm(h):
-    """Product of max(1, |h_i|)."""
-    out = 1
-    for c in h:
-        out *= max(1, abs(c))
-    return out
+    require_int64(n * H * (q - 1), "n*H*(q-1)")
+    freqs = _freq_box(n, H)
+    values = np.exp((2j * np.pi / q) * ((pts @ freqs.T) % q)).mean(axis=0)
+    return WeylSpectrum(q=q, H=H, freqs=freqs, values=values)
 
 
 def frequency_modulus(h, q):
@@ -143,13 +140,10 @@ def second_moment_check(system, q, h, tol=1e-9):
     if rs.size == 0:
         raise ValueError(f"A_{q} is empty")
     qq, pts = _points_of(rs)
-    hv = np.array(_as_hvec(h, pts.shape[1]), dtype=np.int64)
-    dots = (pts @ hv) % qq
-    table = _phase_table(qq)
-    phases = table[(np.arange(qq)[:, None] * dots[None, :]) % qq]
-    W = phases.mean(axis=1)
+    dots = (pts @ _as_hvec(h, pts.shape[1], qq)) % qq
+    W = np.exp((2j * np.pi / qq) * ((np.arange(qq)[:, None] * dots[None, :]) % qq)).mean(axis=1)
     lhs = float(np.mean(np.abs(W) ** 2))
-    b = frequency_modulus(tuple(int(c) for c in hv), q)
+    b = frequency_modulus(h, q)
     rhs = hyperplane_max(system, b) / point_count(system, b)
     return lhs, rhs, lhs <= rhs + tol
 
@@ -340,7 +334,7 @@ def erdos_turan_bound(spectrum):
     """(3/2)^n * (1/H + sum over 0 < max-norm(h) <= H of |W(h)| / M(h)),
     clamped to 1."""
     c = 1.5**spectrum.dimension
-    s = math.fsum(abs(w) / mixed_norm(h) for h, w in spectrum.entries.items())
+    s = math.fsum(np.abs(spectrum.values) / np.prod(np.maximum(np.abs(spectrum.freqs), 1), axis=1))
     return min(1.0, c * (1.0 / spectrum.H + s))
 
 

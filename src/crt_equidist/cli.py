@@ -76,7 +76,7 @@ def _build_parser():
     add(
         "sweep",
         "average discrepancy vs theorem bound along an x ladder",
-        ("system", "poly", "pseudo", "ladder", "theorem", "k", "weighting", "H", "disc_mode", "budget", "alpha", "seed"),
+        ("system", "poly", "pseudo", "ladder", "theorem", "k", "weighting", "H", "disc_mode", "budget", "alpha"),
     )
     add("table", "root-count histogram, moments, reference row", ("pseudo", "poly", "x", "profile"))
     add("counterexample", "aggregate-measure mass vs uniform average disc", ("epsilon", "ladder"))

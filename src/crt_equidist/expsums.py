@@ -56,8 +56,7 @@ def normalized_exp_sum(spec, a, q):
         dtype=np.int64,
         count=len(keep),
     )
-    phases = np.exp((2j * np.pi / q) * np.arange(q))
-    return complex(phases[ts].sum() / math.sqrt(q))
+    return complex(np.exp((2j * np.pi / q) * ts).sum() / math.sqrt(q))
 
 
 def twisted_mult_check(spec, a, q1, q2):

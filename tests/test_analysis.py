@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -114,6 +116,60 @@ def test_weyl_spectrum_symmetry_2d():
     assert len(ws.entries) == 7 * 7 - 1
     for h, w in ws.entries.items():
         assert abs(ws.entries[tuple(-c for c in h)] - w.conjugate()) <= 1e-12
+
+
+def test_weyl_sum_large_h():
+    # frequencies are reduced mod q in exact integers before any int64 product
+    s = roots_system(X2P1)
+    rs = residue_set(s, 5)
+    for h in (2**62, 2**63, -(2**64) + 3, 5 * 2**70 + 4):
+        assert abs(weyl_sum(rs, h) - direct_weyl(rs.points, 5, (h,))) < 1e-12
+    assert weyl_sum(rs, 2**62) == pytest.approx(-0.8090169943749475, abs=1e-12)
+    assert second_moment_check(s, 5, 2**63) == second_moment_check(s, 5, 3)
+
+
+# numerators mod 2^62 near both ends of the range
+NEAR_2_62 = [(2**62 - 1, 2**62 - 2), (1, 2**62 // 3), (12345, 2**62 - 7)]
+
+
+def test_weyl_sum_int64_limit():
+    # sum|h_i| * (q - 1) after reduction must stay below 2^63
+    pts, q = NEAR_2_62, 2**62
+    for h in ((1, -1), (q + 1, 1 - q), (-1, -1)):
+        assert abs(weyl_sum(torus(pts, q, 2), h) - direct_weyl(pts, q, h)) < 1e-10
+    with pytest.raises(ValueError, match=r"2\^63"):
+        weyl_sum(torus(pts, q + 1, 2), (1, 1))
+
+
+def _et_loop(ws):
+    s = math.fsum(abs(w) / math.prod(max(1, abs(c)) for c in h) for h, w in ws.entries.items())
+    return min(1.0, 1.5**ws.dimension * (1.0 / ws.H + s))
+
+
+@pytest.mark.parametrize("n, q, H", [(1, 101, 9), (2, 23, 5), (3, 7, 4)])
+def test_weyl_spectrum_order_oracle_and_et_loop(n, q, H):
+    rng = random.Random(40 + n)
+    pts = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(40)]
+    ws = weyl_spectrum(torus(pts, q, n), H)
+    assert ws.dimension == n
+    assert list(ws.entries) == [h for h in itertools.product(range(-H, H + 1), repeat=n) if any(h)]
+    for h, w in ws.entries.items():
+        assert abs(w - direct_weyl(pts, q, h)) < 1e-10
+    assert erdos_turan_bound(ws) == _et_loop(ws)
+    # the bound clamps at 1; a scaled spectrum checks the weighted sum itself
+    small = dataclasses.replace(ws, values=ws.values * 1e-4)
+    assert erdos_turan_bound(small) == _et_loop(small) < 1.0
+
+
+def test_weyl_spectrum_int64_limit():
+    # n*H*(q-1) just below 2^63 is exact; at 2^63 it is refused
+    pts, q = NEAR_2_62, 2**62
+    ws = weyl_spectrum(torus(pts, q, 2), 1)
+    assert len(ws.entries) == 8
+    for h, w in ws.entries.items():
+        assert abs(w - direct_weyl(pts, q, h)) < 1e-10
+    with pytest.raises(ValueError, match=r"2\^63"):
+        weyl_spectrum(torus(pts, q + 1, 2), 1)
 
 
 def test_frequency_modulus():

@@ -70,13 +70,14 @@ def test_config_file_override_and_echo(run_cli, tmp_path):
         "# sweep settings\n"
         "poly = 1,0,1\n"
         "ladder = 100,1000\n"
+        "weighting = uniform\n"
         "seed = 3\n",
         encoding="utf-8",
     )
     out1 = tmp_path / "o1"
-    run_cli(["--config", cfg_file, "sweep", "--seed", "7", "--quiet", "--out", out1])
+    run_cli(["--config", cfg_file, "sweep", "--weighting", "rho", "--quiet", "--out", out1])
     echo = (out1 / "config.txt").read_text()
-    assert "seed = 7" in echo.splitlines()  # explicit flag beats the file
+    assert "weighting = rho" in echo.splitlines()  # explicit flag beats the file
     assert "ladder = 100,1000" in echo.splitlines()
     # the echo itself is a valid config file and reloads to the same state
     reloaded = ExperimentConfig.from_mapping(load_config(out1 / "config.txt"))
@@ -103,6 +104,8 @@ def test_usage_errors(run_cli, tmp_path, capsys):
     run_cli(["sweep", "--threads", "0", "--quiet", "--out", out], expect=2)
     # table draws no random numbers, so it takes no --seed
     run_cli(["table", "--pseudo", "f1", "--x", "100", "--seed", "1", "--quiet", "--out", out], expect=2)
+    # sweep has no bounds-mode search, so it takes no --seed either
+    run_cli(["sweep", "--poly", "1,0,1", "--ladder", "30", "--seed", "1", "--quiet", "--out", out], expect=2)
     run_cli(["nonsense"], expect=2)
     capsys.readouterr()
 
@@ -147,6 +150,13 @@ def test_computational_error_exit(run_cli, tmp_path, capsys):
     system = tmp_path / "big.txt"
     system.write_text("2 40 1,2\n2 40 3,4\n8388617 1 5,6\n", encoding="utf-8")
     run_cli(["disc", "--system", f"file:{system}", "--q", str(2**40 * 8388617), "--disc-mode", "bounds",
+             "--quiet", "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^63" in err
+    # q = 2^39 * 8388617 assembles, but n*H*(q-1) passes 2^63 in the Weyl
+    # dot products of the Erdos-Turan bound
+    system.write_text("2 39 1,2\n2 39 3,4\n8388617 1 5,6\n", encoding="utf-8")
+    run_cli(["disc", "--system", f"file:{system}", "--q", str(2**39 * 8388617), "--disc-mode", "bounds",
              "--quiet", "--out", out], expect=1)
     err = capsys.readouterr().err
     assert err.startswith("error:") and "2^63" in err
