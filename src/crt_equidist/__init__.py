@@ -19,6 +19,8 @@ from .crt_sets import (
     point_count,
     hyperplane_max_local,
     hyperplane_max,
+    local_profile,
+    iter_supported,
     supported_moduli,
     fractional_points,
     prime_support_stat,

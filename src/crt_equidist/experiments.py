@@ -20,7 +20,7 @@ from .analysis import (
     reciprocal_prime_sum,
     theorem_bound,
 )
-from .crt_sets import load_local_system, local_array, prime_support_stat
+from .crt_sets import load_local_system, local_array, local_profile, prime_support_stat
 from .generators import (
     IntPolynomial,
     PseudoPoly,
@@ -32,7 +32,6 @@ from .generators import (
     pseudo_system,
     roots_mod_prime,
     roots_system,
-    segment_length,
     veronese_system,
 )
 from .modarith import prime_array, sieve_primes
@@ -124,6 +123,8 @@ class ExperimentConfig:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.p_set is not None:
             self.p_set = tuple(int(t) for t in self.p_set)
         self.h_set = tuple(int(t) for t in self.h_set)
@@ -422,11 +423,9 @@ def counterexample_contrast(config):
     for x in config.ladder:
         mass_stats = aggregate_stats(sys_obj, x, weighting="rho", region=(Fraction(0), eps), include_per_q=True)
         uniform_disc = math.fsum(d for _, _, d in mass_stats.per_q) / mass_stats.modulus_count
-        inside = 0
-        for p in sieve_primes(x):
-            g = segment_length(p)
-            if g >= 1 and Fraction(g, p) <= eps:
-                inside += g
+        primes, rho, _ = local_profile(sys_obj, x)
+        # rho/p <= eps in Python ints, since eps may have any denominator
+        inside = sum(r for p, r in zip(primes.tolist(), rho.tolist()) if r * eps.denominator <= eps.numerator * p)
         rows.append(
             (
                 x,

@@ -27,33 +27,31 @@ def _simple_sieve(limit):
     return flags
 
 
-def sieve_primes(limit):
-    """All primes <= limit, ascending. Empty for limit < 2.
+def prime_array(limit):
+    """All primes <= limit as an ascending int64 array; empty for limit < 2.
 
     Switches to a segmented sieve above 10^7 so memory stays
     O(sqrt(limit) + segment).
     """
     if limit < 2:
-        return []
+        return np.empty(0, dtype=np.int64)
     if limit <= 10**7:
-        return np.flatnonzero(_simple_sieve(limit)).tolist()
-    base = np.flatnonzero(_simple_sieve(math.isqrt(limit)))
-    primes = base.tolist()
+        return np.flatnonzero(_simple_sieve(limit)).astype(np.int64)
+    base = np.flatnonzero(_simple_sieve(math.isqrt(limit))).astype(np.int64)
+    chunks = [base]
     for lo in range(math.isqrt(limit) + 1, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT - 1, limit)
         flags = np.ones(hi - lo + 1, dtype=bool)
-        for p in base:
+        for p in base.tolist():
             start = ((lo + p - 1) // p) * p
             flags[start - lo :: p] = False
-        primes.extend((np.flatnonzero(flags) + lo).tolist())
-    return primes
+        chunks.append(np.flatnonzero(flags) + lo)
+    return np.concatenate(chunks)
 
 
-def prime_array(limit):
-    """Primes <= limit as an int64 array (kernel-friendly variant)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(_simple_sieve(limit)).astype(np.int64)
+def sieve_primes(limit):
+    """All primes <= limit as an ascending list of ints."""
+    return prime_array(limit).tolist()
 
 
 def _is_prime(p):

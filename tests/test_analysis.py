@@ -23,8 +23,16 @@ from crt_equidist.analysis import (
     weyl_spectrum,
     weyl_sum,
 )
-from crt_equidist.crt_sets import LocalSystem, TorusPointSet, fractional_points, residue_set
-from crt_equidist.generators import IntPolynomial, full_system, graph_system, roots_system
+from crt_equidist.crt_sets import (
+    LocalSystem,
+    TorusPointSet,
+    fractional_points,
+    hyperplane_max_local,
+    prime_support_stat,
+    residue_set,
+)
+from crt_equidist.generators import IntPolynomial, full_system, graph_system, initial_segment_system, roots_system
+from crt_equidist.modarith import sieve_primes
 from oracles import (
     bracket_by_definition,
     direct_weyl,
@@ -227,6 +235,27 @@ def test_second_moment_randomized_vs_pair_count():
         assert ok, (q, h, lhs, rhs)
         assert lhs == pytest.approx(second_moment_lhs_pairs(rs.points, q, h), abs=1e-9)
         done += 1
+
+
+def test_second_moment_exact_pair_count():
+    rng = random.Random(47)
+    done = 0
+    while done < 40:
+        n = rng.choice((1, 2))
+        q = rng.randrange(2, 120)
+        s = sys_from_dict(n, random_local_sets(rng, n, q))
+        rs = residue_set(s, q)
+        if rs.size == 0:
+            continue
+        h = tuple(rng.randrange(1, q + 1) for _ in range(n))
+        lhs, _, _ = second_moment_check(s, q, h if n > 1 else h[0])
+        assert lhs == second_moment_lhs_pairs(rs.points, q, h), (q, h)
+        done += 1
+    # 64 distinct points mod q = 48612265: an average over all a mod q
+    # would need a q x 64 table
+    q = 5 * 13 * 17 * 29 * 37 * 41
+    lhs, rhs, ok = second_moment_check(roots_system(X2P1), q, 1)
+    assert lhs == 1 / 64 and rhs == 1 / 64 and ok
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +522,59 @@ def test_damped_below_plain():
     assert damped_reciprocal_prime_sum(s, 500) <= reciprocal_prime_sum(s, 500) + 1e-15
 
 
+# The definitions the array sums replaced, as plain loops over the primes.
+
+def _old_ratio(system, p):
+    rho = system.local_size(p, 1)
+    if rho < 1:
+        return None
+    if system.dimension == 1:
+        return 1.0 / rho
+    return hyperplane_max_local(system, p, 1) / rho
+
+
+def _old_sums(system, x):
+    primes = sieve_primes(x)
+    supported = [p for p in primes if _old_ratio(system, p) is not None]
+    log_total = math.fsum(math.log(p) for p in supported)
+    den = math.fsum(1.0 / p for p in supported)
+    return {
+        "support_stat": (log_total, log_total / x) if x >= 2 else (0.0, 0.0),
+        "recip": den + 3.0,
+        "damped": math.fsum(math.sqrt(_old_ratio(system, p)) / p for p in supported) + 3.0,
+        "large_fiber_sum": math.fsum(1.0 / p for p in primes if system.local_size(p, 1) >= 2),
+        "defect_sum": math.fsum((1.0 - _old_ratio(system, p)) / p for p in supported),
+        "weighted_ratio": math.fsum(_old_ratio(system, p) / p for p in supported) / den if den > 0 else 1.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        roots_system(X2P1),
+        full_system(1),
+        initial_segment_system(),
+        LocalSystem(1, lambda p, v: ()),
+        graph_system(IntPolynomial((-2, 0, 0, 1)), IntPolynomial((0, 0, 1))),
+    ],
+    ids=["x2p1", "full", "initial-segment", "empty", "graph-2d"],
+)
+def test_prime_sums_equal_the_loop_definitions(system):
+    for x in (0, 1, 2, 3, 100, 2000):
+        old = _old_sums(system, x)
+        assert prime_support_stat(system, x) == old["support_stat"]
+        assert reciprocal_prime_sum(system, x) == old["recip"]
+        assert damped_reciprocal_prime_sum(system, x) == old["damped"]
+        if x < 3:
+            continue
+        assert theorem_bound(1, system, x)["sums"]["large_fiber_sum"] == old["large_fiber_sum"]
+        for theorem in (2, 3):
+            got = theorem_bound(theorem, system, x, k=2, strict=False)
+            assert got["sums"]["defect_sum"] == old["defect_sum"]
+        got = theorem_bound(4, system, x, k=2, strict=False)
+        assert got["sums"]["weighted_ratio"] == old["weighted_ratio"]
+
+
 def test_theorem_bound_validation():
     s = roots_system(X2P1)
     with pytest.raises(ValueError):
@@ -616,6 +698,9 @@ def test_aggregate_validation():
         aggregate_stats(s, 100, weighting="median")
     with pytest.raises(ValueError, match="no supported moduli"):
         aggregate_stats(s, 10, k=3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            aggregate_stats(s, 10, k=k)
 
 
 def test_aggregate_2d_paths():

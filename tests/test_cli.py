@@ -102,6 +102,8 @@ def test_usage_errors(run_cli, tmp_path, capsys):
     run_cli(["ffield", "--curve", "2,0,1;0,1,-1", "--quiet", "--out", out], expect=2)
     run_cli(["sweep", "--ladder", "10,abc", "--quiet", "--out", out], expect=2)
     run_cli(["sweep", "--threads", "0", "--quiet", "--out", out], expect=2)
+    run_cli(["sweep", "--k", "0", "--quiet", "--out", out], expect=2)
+    run_cli(["sweep", "--k", "-1", "--quiet", "--out", out], expect=2)
     # table draws no random numbers, so it takes no --seed
     run_cli(["table", "--pseudo", "f1", "--x", "100", "--seed", "1", "--quiet", "--out", out], expect=2)
     # sweep has no bounds-mode search, so it takes no --seed either

@@ -10,6 +10,7 @@ from crt_equidist.crt_sets import (
     fractional_points,
     hyperplane_max,
     hyperplane_max_local,
+    iter_supported,
     load_local_system,
     numerators_1d,
     point_count,
@@ -287,6 +288,28 @@ def test_supported_moduli_k_filter():
     assert sorted(seen) == [q for q in q_all if q != 1]
     with pytest.raises(ValueError):
         supported_moduli(s, 50, k=0)
+
+
+def test_iter_supported_vs_trial_division():
+    rng = random.Random(59)
+    for trial in range(12):
+        n = rng.choice((1, 2))
+        x_max = rng.randrange(2, 400)
+        sets = random_local_sets(rng, n, x_max)
+        s = sys_from_dict(n, sets)
+        for x in (0, 1, 2, x_max):
+            for k in (None, 1, 2):
+                want = []
+                for q in range(1, x + 1):
+                    parts = tuple(trial_factorize(q))
+                    rho = math.prod(len(sets.get(p**v, ())) for p, v in parts)
+                    if rho and (k is None or len(parts) == k):
+                        want.append((q, parts, rho))
+                assert list(iter_supported(s, x, k)) == want, (trial, x, k)
+    assert list(iter_supported(full_system(1), 1)) == [(1, (), 1)]
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            iter_supported(full_system(1), 10, k)
 
 
 def test_fractional_points(six_system):

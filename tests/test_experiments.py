@@ -16,7 +16,13 @@ from crt_equidist.experiments import (
     render_poisson_text,
     run_theorem_sweep,
 )
-from crt_equidist.generators import IntPolynomial, initial_segment_system, pseudo_poly_roots, roots_system
+from crt_equidist.generators import (
+    IntPolynomial,
+    initial_segment_system,
+    pseudo_poly_roots,
+    roots_system,
+    segment_length,
+)
 from crt_equidist.modarith import prime_array, sieve_primes
 
 
@@ -70,6 +76,9 @@ def test_config_validation():
         ExperimentConfig(epsilon="3/2")
     with pytest.raises(ValueError, match="budget"):
         ExperimentConfig(budget=0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ExperimentConfig(k=k)
 
 
 def test_build_system_dispatch(tmp_path):
@@ -242,6 +251,19 @@ def test_counterexample_quarter_interval():
         assert 0.0 <= row["prime_lower_bound"] <= row["mass"] <= 1.0
     # point totals grow with x
     assert report.rows[1][2] > report.rows[0][2]
+
+
+@pytest.mark.parametrize("epsilon", ["1/4", "1/3", "1000000000000000000001/4000000000000000000000"])
+def test_counterexample_prime_bound_equals_the_loop(epsilon):
+    eps = Fraction(epsilon)
+    report = counterexample_contrast(ExperimentConfig(ladder=(100, 2000), epsilon=epsilon))
+    for x, _, points, _, bound, _ in report.rows:
+        inside = 0
+        for p in sieve_primes(x):
+            g = segment_length(p)
+            if g >= 1 and Fraction(g, p) <= eps:
+                inside += g
+        assert bound == inside / points
 
 
 def test_counterexample_one_scan_per_modulus(monkeypatch):

@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from crt_equidist.modarith import (
     Factorization,
     PrimePower,
+    _simple_sieve,
     crt_combine,
     factor_tuples,
     factorize,
@@ -52,6 +54,11 @@ def test_segmented_sieve_consistent():
 def test_prime_array_matches_list():
     assert prime_array(10**4).tolist() == sieve_primes(10**4)
     assert prime_array(1).size == 0
+    # above 10^7 the segmented sieve must agree with one flat sieve
+    limit = 10**7 + 3 * 10**5
+    got = prime_array(limit)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.flatnonzero(_simple_sieve(limit)))
 
 
 def test_factorize_examples():
