@@ -18,10 +18,12 @@ class LocalSystem:
     """A rule assigning to each prime power p^v a finite set of residue
     tuples mod p^v. Materialized sets are cached; the rule must be
     deterministic. `size_rule`, when given, answers cardinality queries
-    without materializing the set. Local hyperplane maxima are cached too,
+    without materializing the set. `bulk_rule`, when given, maps an int64
+    array of primes to their sets at v = 1 in one call (see `prefill`).
+    Local hyperplane maxima and `local_profile` results are cached too,
     under the same lock."""
 
-    def __init__(self, dimension, rule, support_limit=DEFAULT_SUPPORT, name="", size_rule=None):
+    def __init__(self, dimension, rule, support_limit=DEFAULT_SUPPORT, name="", size_rule=None, bulk_rule=None):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
@@ -29,8 +31,10 @@ class LocalSystem:
         self.support_limit = support_limit
         self.name = name
         self.size_rule = size_rule
+        self.bulk_rule = bulk_rule
         self._cache = {}
         self._hyperplane_max = {}
+        self._profile = {}
         self._lock = threading.Lock()
 
     def __repr__(self):
@@ -42,14 +46,9 @@ class LocalSystem:
             raise ValueError(f"prime power {p}^{v} = {value} beyond support limit {self.support_limit}")
         return value
 
-    def local_set(self, p, v=1):
-        """The set for p^v as a sorted tuple of coordinate tuples."""
-        key = (p, v)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        value = self._check_support(p, v)
-        raw = self.rule(p, v)
+    def _store(self, p, v, value, raw):
+        """Check the points a rule gave for p^v (= value), cache them as a
+        sorted tuple of coordinate tuples and return the cached tuple."""
         pts = set()
         for item in raw:
             t = (item,) if isinstance(item, int) else tuple(item)
@@ -60,7 +59,27 @@ class LocalSystem:
             pts.add(t)
         norm = tuple(sorted(pts))
         with self._lock:
-            return self._cache.setdefault(key, norm)
+            return self._cache.setdefault((p, v), norm)
+
+    def local_set(self, p, v=1):
+        """The set for p^v as a sorted tuple of coordinate tuples."""
+        got = self._cache.get((p, v))
+        if got is not None:
+            return got
+        value = self._check_support(p, v)
+        return self._store(p, v, value, self.rule(p, v))
+
+    def prefill(self, primes):
+        """Cache the sets at v = 1 of those primes that are not cached yet,
+        from one call of the bulk rule; without one, do nothing."""
+        if self.bulk_rule is None:
+            return
+        todo = [p for p in np.asarray(primes, dtype=np.int64).tolist() if (p, 1) not in self._cache]
+        for p in todo:
+            self._check_support(p, 1)
+        if todo:
+            for p, raw in zip(todo, self.bulk_rule(np.array(todo, dtype=np.int64))):
+                self._store(p, 1, p, raw)
 
     def local_size(self, p, v=1):
         if self.size_rule is not None:
@@ -271,17 +290,27 @@ def hyperplane_max(system, q):
 
 
 def local_profile(system, x):
-    """The supported primes p <= x and their local data, as three int64
-    arrays: `primes`, `rho` = |A_p| and `lam` = lambda(p), the local
-    hyperplane maximum (all ones for n = 1, where a hyperplane is a point)."""
+    """The supported primes p <= x and their local data, as three read-only
+    int64 arrays: `primes`, `rho` = |A_p| and `lam` = lambda(p), the local
+    hyperplane maximum (all ones for n = 1, where a hyperplane is a point).
+    Cached per x on the system."""
+    got = system._profile.get(x)
+    if got is not None:
+        return got
+    all_primes = prime_array(x)
+    system.prefill(all_primes)
     primes, rho, lam = [], [], []
-    for p in prime_array(x).tolist():
+    for p in all_primes.tolist():
         r = system.local_size(p, 1)
         if r >= 1:
             primes.append(p)
             rho.append(r)
             lam.append(hyperplane_max_local(system, p, 1) if system.dimension > 1 else 1)
-    return tuple(np.array(a, dtype=np.int64) for a in (primes, rho, lam))
+    profile = tuple(np.array(a, dtype=np.int64) for a in (primes, rho, lam))
+    for a in profile:
+        a.setflags(write=False)
+    with system._lock:
+        return system._profile.setdefault(x, profile)
 
 
 def iter_supported(system, x, k=None):
@@ -300,6 +329,8 @@ def _iter_supported(system, x, k):
     if x < 2:
         return
     spf = spf_table(x)
+    # the primes are the q with spf[q] = q
+    system.prefill(np.flatnonzero(spf[2:] == np.arange(2, x + 1)) + 2)
     for q in range(2, x + 1):
         parts = tuple(spf_factor(q, spf))
         if k is not None and len(parts) != k:

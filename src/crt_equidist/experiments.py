@@ -30,7 +30,7 @@ from .generators import (
     image_system,
     initial_segment_system,
     pseudo_system,
-    roots_mod_prime,
+    roots_mod_primes,
     roots_system,
     veronese_system,
 )
@@ -366,11 +366,7 @@ def poisson_table(spec, x, profile=None):
         poisson_ref = profile is None
     elif isinstance(spec, IntPolynomial):
         primes = prime_array(x)
-        counts = np.fromiter(
-            (len(roots_mod_prime(spec, int(p))) for p in primes),
-            dtype=np.int64,
-            count=len(primes),
-        )
+        counts = np.array([len(r) for r in roots_mod_primes(spec, primes)], dtype=np.int64)
         poisson_ref = False
     else:
         raise TypeError(f"expected a pseudo-polynomial name or IntPolynomial, got {type(spec).__name__}")
@@ -454,6 +450,7 @@ def prime_weyl_averages(system, x, h_set):
     pi_x = len(primes)
     if pi_x == 0:
         raise ValueError(f"no primes up to {x}")
+    system.prefill(primes)
     supported = []
     for p in primes:
         arr = local_array(system, p)[:, 0]

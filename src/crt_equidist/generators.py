@@ -10,9 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crt_sets import LocalSystem
-from .modarith import mod_inverse
+from .modarith import INT64_LIMIT, mod_inverse, require_int64
 
-_SCAN_LIMIT = 10**4  # root finding switches from full scan to gcd splitting
+# rows per block of the batched root finder, bounding its working memory
+_ROOT_BLOCK = 1024
+# splitting constants tried per factor in each round of the batched split
+_SPLIT_TRIES = 3
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,17 @@ class BivariatePoly:
 
 
 def pow_mod_array(xs, e, m):
-    """Elementwise xs**e mod m by square-and-multiply (int64-safe for m <= 3e9)."""
-    result = np.ones_like(xs)
+    """Elementwise xs**e mod m by square-and-multiply. The exponent e >= 0
+    and the modulus m are scalars or int64 arrays broadcasting against xs;
+    every product stays below (max m - 1)^2, which must be under 2^63."""
+    m = np.asarray(m, dtype=np.int64)
+    require_int64((int(m.max(initial=1)) - 1) ** 2, "squared modulus (m - 1)^2")
+    e = np.array(e, dtype=np.int64)
+    result = np.ones(np.broadcast_shapes(np.shape(xs), e.shape, m.shape), dtype=np.int64)
     base = xs % m
-    while e:
-        if e & 1:
-            result = (result * base) % m
-        base = (base * base) % m
+    while e.any():
+        result = np.where(e & 1, result * base % m, result)
+        base = base * base % m
         e >>= 1
     return result
 
@@ -162,7 +169,7 @@ def _pnorm(a, p):
 def _pdivmod(a, b, p):
     """Polynomial division mod p; b nonzero."""
     a = a[:]
-    inv_lead = mod_inverse(b[-1], p) if p > 2 or b[-1] != 1 else b[-1]
+    inv_lead = mod_inverse(b[-1], p)
     quot = [0] * max(len(a) - len(b) + 1, 0)
     while len(a) >= len(b) and a:
         shift = len(a) - len(b)
@@ -205,12 +212,8 @@ def _ppowmod(base, e, f, p):
     return result
 
 
-def _roots_mod_p_scan(f, p):
-    return np.flatnonzero(f(np.arange(p, dtype=np.int64), p) == 0).tolist()
-
-
 def _roots_mod_p_split(f, p):
-    """Roots mod a large prime via gcd with x^p - x, then randomized
+    """Roots mod an odd prime via gcd with x^p - x, then randomized
     splitting. The RNG is seeded from (p, coeffs) so results are
     reproducible."""
     fp = _pnorm(list(f.coeffs), p)
@@ -247,12 +250,187 @@ def _roots_mod_p_split(f, p):
 
 
 def roots_mod_prime(f, p):
-    """All a in [0, p) with f(a) = 0 mod p. Error if f vanishes mod p."""
+    """All a in [0, p) with f(a) = 0 mod p, for one prime: by evaluation at
+    p = 2, by gcd splitting otherwise. Error if f vanishes mod p.
+    `roots_mod_primes` serves many primes at once."""
     if not f.nonzero_mod(p):
         raise ValueError(f"polynomial {f} is identically zero mod {p}")
-    if p <= _SCAN_LIMIT:
-        return _roots_mod_p_scan(f, p)
+    if p == 2:
+        return [a for a in (0, 1) if f(a, 2) == 0]
     return _roots_mod_p_split(f, p)
+
+
+# Batched root finding. Each row of an int64 array is one polynomial mod its
+# own prime, constant term first; the row helpers take the primes as a
+# column `p` of shape (R, 1).
+
+def _degrees(a):
+    """Degree of each row, -1 for a zero row."""
+    nz = a != 0
+    return np.where(nz.any(axis=1), a.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+
+
+def _reduce_rows(a, g, p):
+    """The rows of a (entries in [0, p)) mod the monic rows of g, all of
+    one degree k; overwrites a and returns its low k columns."""
+    k = g.shape[1] - 1
+    for t in range(a.shape[1] - 1, k - 1, -1):
+        a[:, t - k : t] = (a[:, t - k : t] - a[:, t : t + 1] * g[:, :k]) % p
+    return a[:, :k]
+
+
+def _mulmod_rows(a, b, g, p):
+    """a * b mod (g, p) for residue rows of width k. A column of the product
+    sums at most k terms below (p - 1)^2 before it is reduced."""
+    rows, k = a.shape
+    prod = np.zeros((rows, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        prod[:, i : i + k] += a[:, i : i + 1] * b
+    return _reduce_rows(prod % p, g, p)
+
+
+def _pow_linear_rows(c, e, g, p):
+    """(X + c)^e mod (g, p), left-to-right over the bits of each row's own
+    exponent e; leading zero bits only square the 1 the result starts at."""
+    rows, k = g.shape[0], g.shape[1] - 1
+    acc = np.zeros((rows, k), dtype=np.int64)
+    acc[:, 0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        acc = _mulmod_rows(acc, acc, g, p)
+        step = np.zeros((rows, k + 1), dtype=np.int64)
+        step[:, 1:] = acc
+        step[:, :k] += c[:, None] * acc
+        acc = np.where((e >> bit & 1 == 1)[:, None], _reduce_rows(step % p, g, p), acc)
+    return acc
+
+
+def _gcd_rows(a, b, p):
+    """Monic gcd of the row pairs (a, b), of one width, and its degree, by a
+    masked Euclid: while b is nonzero, a <- lead(b) a - lead(a) X^s b with
+    s = deg a - deg b drops deg a, and the pair swaps when deg a < deg b."""
+    idx, cols = np.arange(len(a)), np.arange(a.shape[1])
+    da, db = _degrees(a), _degrees(b)
+    while True:
+        swap = (da < db)[:, None]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        live = db >= 0
+        if not live.any():
+            break
+        src = cols - np.where(live, da - db, 0)[:, None]
+        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=1), 0)
+        lead_a = np.where(live, a[idx, da], 0)
+        lead_b = np.where(live, b[idx, db], 1)
+        a = (lead_b[:, None] * a - lead_a[:, None] * shifted) % p
+        da = _degrees(a)
+    inv = pow_mod_array(a[idx, da], p[:, 0] - 2, p[:, 0])
+    return a * inv[:, None] % p, da
+
+
+def _int_mod(c, primes):
+    """A Python integer mod each prime of an int64 array."""
+    if -INT64_LIMIT < c < INT64_LIMIT:
+        return np.int64(c) % primes
+    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
+
+
+def _file_factors(rows, u, deg, p, hits, pending):
+    """Sort monic factors by degree: a linear one gives its root, one of
+    degree m >= 2 waits in pending[m] for splitting, constants drop out."""
+    lin = deg == 1
+    hits.append((rows[lin], -u[lin, 0] % p[rows[lin]]))
+    for m in range(2, int(deg.max(initial=0)) + 1):
+        sel = deg == m
+        if sel.any():
+            pending.setdefault(m, []).append((rows[sel], u[sel, : m + 1]))
+
+
+def _split_round(rows, u, p, rng, hits, pending):
+    """One equal-degree splitting round for monic u of degree m >= 2 with m
+    distinct roots. With h = (X + c)^((p - 1)/2) mod u, each root a lies in
+    gcd(u, h - 1) or gcd(u, h + 1) by the quadratic character of a + c,
+    unless a = -c, the one root the two factors miss. Of _SPLIT_TRIES
+    constants c per row the first that puts some but not all roots in
+    gcd(u, h - 1) is kept; such a c exists for every pair of distinct
+    roots, and a row none of its constants splits comes back whole."""
+    n, m = u.shape[0], u.shape[1] - 1
+    uu = np.repeat(u, _SPLIT_TRIES, axis=0)
+    pp = np.repeat(p[rows], _SPLIT_TRIES)
+    c = (np.frombuffer(rng.randbytes(8 * len(pp)), dtype=np.uint64) >> np.uint64(1)).astype(np.int64) % pp
+    h = np.zeros_like(uu)
+    h[:, :m] = _pow_linear_rows(c, (pp - 1) // 2, uu, pp[:, None])
+    d1, deg1 = _gcd_rows(uu, (h - (np.arange(m + 1) == 0)) % pp[:, None], pp[:, None])
+    good = (deg1 > 0) & (deg1 < m)
+    pick = np.arange(n) * _SPLIT_TRIES + np.argmax(good.reshape(n, _SPLIT_TRIES), axis=1)
+    c, pr, d1, deg1 = c[pick], pp[pick], d1[pick], deg1[pick]
+    d2, deg2 = _gcd_rows(u, (h[pick] + (np.arange(m + 1) == 0)) % pr[:, None], pr[:, None])
+    missed = deg1 + deg2 < m
+    hits.append((rows[missed], -c[missed] % pr[missed]))
+    _file_factors(rows, d1, deg1, p, hits, pending)
+    _file_factors(rows, d2, deg2, p, hits, pending)
+
+
+def _block_roots(coeffs, p, rng):
+    """Sorted roots for one block: row i of coeffs is f mod p[i]."""
+    hits = []  # (rows, roots) array pairs
+    two = p == 2
+    # p = 2 by evaluation: f(0) is the constant term, f(1) the coefficient sum
+    for a, value in ((0, coeffs[:, 0]), (1, coeffs.sum(axis=1))):
+        rows = np.flatnonzero(two & (value % 2 == 0))
+        hits.append((rows, np.full(len(rows), a, dtype=np.int64)))
+    deg = _degrees(coeffs)
+    pending = {}
+    for k in range(1, coeffs.shape[1]):
+        rows = np.flatnonzero((deg == k) & ~two)
+        if len(rows) == 0:
+            continue
+        pr = p[rows]
+        inv = pow_mod_array(coeffs[rows, k], pr - 2, pr)
+        g = coeffs[rows, : k + 1] * inv[:, None] % pr[:, None]
+        if k == 1:
+            u, du = g, np.ones(len(rows), dtype=np.int64)
+        else:
+            # the distinct roots of g are those of gcd(g, X^p - X)
+            h = np.zeros_like(g)
+            h[:, :k] = _pow_linear_rows(np.zeros(len(rows), dtype=np.int64), pr, g, pr[:, None])
+            h[:, 1] -= 1
+            u, du = _gcd_rows(g, h % pr[:, None], pr[:, None])
+        _file_factors(rows, u, du, p, hits, pending)
+    while pending:
+        _, parts = pending.popitem()
+        _split_round(
+            np.concatenate([r for r, _ in parts]), np.concatenate([u for _, u in parts]), p, rng, hits, pending
+        )
+    rows = np.concatenate([r for r, _ in hits])
+    roots = np.concatenate([v for _, v in hits])
+    flat = iter(roots[np.lexsort((roots, rows))].tolist())
+    return [tuple(itertools.islice(flat, n)) for n in np.bincount(rows, minlength=len(p)).tolist()]
+
+
+def roots_mod_primes(f, primes):
+    """The roots of f mod each prime of an int64 array, as sorted tuples in
+    the order of `primes`: Cantor-Zassenhaus over all primes at once, in
+    blocks of _ROOT_BLOCK rows. Rows are grouped by the degree of f mod p
+    and made monic; gcd(f, X^p - X) keeps the distinct roots, which
+    equal-degree splitting separates. p = 2 is answered by evaluation.
+    Refuses d (p - 1)^2 >= 2^63 and, like `roots_mod_prime`, a prime
+    modulo which f vanishes (the smallest one)."""
+    primes = np.asarray(primes, dtype=np.int64)
+    if primes.size == 0:
+        return []
+    require_int64(f.degree * (int(primes.max()) - 1) ** 2, "degree times (p - 1)^2")
+    # f vanishes mod p iff p divides the gcd of its coefficients
+    vanish = _int_mod(math.gcd(*f.coeffs), primes) == 0
+    if vanish.any():
+        raise ValueError(f"polynomial {f} is identically zero mod {int(primes[vanish].min())}")
+    # the splitting constants only steer the search: the sorted roots do not
+    # depend on them
+    rng = random.Random(0)
+    out = []
+    for start in range(0, len(primes), _ROOT_BLOCK):
+        block = primes[start : start + _ROOT_BLOCK]
+        out += _block_roots(np.stack([_int_mod(c, block) for c in f.coeffs], axis=1), block, rng)
+    return out
 
 
 def poly_roots_mod_prime_power(f, p, v):
@@ -288,7 +466,12 @@ def poly_roots_mod_prime_power(f, p, v):
 
 def roots_system(f):
     """1-dimensional system of the roots of f at each prime power."""
-    return LocalSystem(1, lambda p, v: poly_roots_mod_prime_power(f, p, v), name=f"roots({f})")
+    return LocalSystem(
+        1,
+        lambda p, v: poly_roots_mod_prime_power(f, p, v),
+        name=f"roots({f})",
+        bulk_rule=lambda primes: roots_mod_primes(f, primes),
+    )
 
 
 def veronese_system(f, d):

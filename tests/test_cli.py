@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from crt_equidist import cli
 from crt_equidist.cli import load_config
 from crt_equidist.experiments import ExperimentConfig
 from conftest import read_json
@@ -246,3 +250,18 @@ def test_thread_determinism(run_cli, tmp_path):
     assert listdir(a) == listdir(b)
     for name in listdir(a):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_sweep_leaves_numpy_random_unloaded(tmp_path):
+    # importing numpy.random adds about 2.6 MB to the peak RSS of a run, so
+    # the root finder draws its splitting constants from the stdlib; numpy.ma,
+    # which np.unique imports, is kept out the same way
+    script = (
+        "import sys; from crt_equidist import cli; cli.main(sys.argv[1:]); "
+        "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)"
+    )
+    args = ["sweep", "--poly", "1,0,1", "--ladder", "2000", "--quiet", "--out", str(tmp_path / "s")]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "False"]
+    assert (tmp_path / "s" / "report.json").exists()

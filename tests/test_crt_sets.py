@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crt_equidist.crt_sets import (
@@ -12,6 +13,7 @@ from crt_equidist.crt_sets import (
     hyperplane_max_local,
     iter_supported,
     load_local_system,
+    local_profile,
     numerators_1d,
     point_count,
     prime_support_stat,
@@ -20,7 +22,7 @@ from crt_equidist.crt_sets import (
     supported_moduli,
 )
 from crt_equidist.generators import IntPolynomial, full_system, roots_system
-from crt_equidist.modarith import crt_combine
+from crt_equidist.modarith import crt_combine, prime_array
 from oracles import (
     brute_residue_set_1d,
     brute_residue_set_2d,
@@ -363,3 +365,60 @@ def test_load_rejects_malformed(tmp_path):
     off.write_text("2 1 5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="canonical"):
         load_local_system(off)
+
+
+def test_prefill_stores_the_local_sets():
+    f = IntPolynomial((3, -1, 0, 2, 1))
+    bulk = roots_system(f)
+    single = LocalSystem(1, bulk.rule)
+    primes = prime_array(3000)
+    assert bulk.local_set(7) == single.local_set(7)
+    bulk.prefill(primes)
+    assert set(bulk._cache) == {(p, 1) for p in primes.tolist()}
+    for p in primes.tolist():
+        assert bulk.local_set(p) == single.local_set(p), p
+    # cached sets are kept, not recomputed
+    seven = bulk.local_set(7)
+    bulk.prefill([7, 11])
+    assert bulk.local_set(7) is seven
+    # no bulk rule: nothing is computed
+    single.prefill(primes)
+    assert (3001, 1) not in single._cache and len(single._cache) == len(primes)
+    plain = LocalSystem(1, bulk.rule)
+    plain.prefill(primes)
+    assert plain._cache == {}
+
+
+def test_prefill_checks_like_local_set():
+    def twin(dimension, points, **kw):
+        rule = lambda p, v: points(p)
+        return LocalSystem(dimension, rule, bulk_rule=lambda ps: [points(p) for p in ps.tolist()], **kw)
+
+    cases = [
+        (twin(1, lambda p: (p,)), "not canonical"),
+        (twin(1, lambda p: (-1,)), "not canonical"),
+        (twin(2, lambda p: ((0,),)), "wrong dimension"),
+        (twin(1, lambda p: (0,), support_limit=10), "beyond support limit"),
+    ]
+    for s, message in cases:
+        with pytest.raises(ValueError, match=message):
+            s.local_set(11)
+        with pytest.raises(ValueError, match=message):
+            s.prefill([11])
+    # duplicates collapse and the points come out sorted, as from local_set
+    s = twin(1, lambda p: (3, 1, 3, (2,)))
+    s.prefill([5])
+    assert s.local_set(5) == ((1,), (2,), (3,))
+    assert LocalSystem(1, s.rule).local_set(5) == ((1,), (2,), (3,))
+
+
+def test_local_profile_cached_per_x():
+    s = roots_system(IntPolynomial((1, 0, 1)))
+    got = local_profile(s, 1000)
+    assert local_profile(s, 1000) is got
+    assert all(not a.flags.writeable for a in got)
+    want = local_profile(LocalSystem(1, s.rule), 1000)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert got[0].tolist() == [p for p in prime_array(1000).tolist() if p == 2 or p % 4 == 1]
+    # a smaller x is its own entry
+    assert local_profile(s, 100)[0].tolist() == [p for p in got[0].tolist() if p <= 100]

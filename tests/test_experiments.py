@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crt_equidist import analysis
+from crt_equidist import analysis, crt_sets
 from crt_equidist.crt_sets import LocalSystem, save_local_system
 from crt_equidist.experiments import (
     ExperimentConfig,
@@ -158,6 +158,9 @@ def test_poisson_table_polynomial_profile():
     assert ref2 is None and np.array_equal(hist, hist2)
     with pytest.raises(TypeError):
         poisson_table(3.5, 100)
+    # f = 6 + 12X + 30X^2 vanishes mod 2 and mod 3; the smallest is named
+    with pytest.raises(ValueError, match=r"identically zero mod 2$"):
+        poisson_table(IntPolynomial((6, 12, 30)), 100)
     with pytest.raises(ValueError, match="no primes"):
         poisson_table("f1", 1)
 
@@ -196,6 +199,16 @@ def test_sweep_near_support_floor():
     row = dict(zip(report.columns, report.rows[0]))
     assert row["moduli"] == 2 and row["points"] == 2
     assert row["avg_disc"] == 1.0
+
+
+@pytest.mark.parametrize("system", ["poly:1,0,1", "graph:1,0,1:0,0,1"])
+def test_sweep_sieves_once_per_ladder_point(system, monkeypatch):
+    # the prime sums, the theorem bound and the auto H share one profile per x
+    calls = []
+    sieve = crt_sets.prime_array
+    monkeypatch.setattr(crt_sets, "prime_array", lambda x: calls.append(x) or sieve(x))
+    run_theorem_sweep(ExperimentConfig(system=system, ladder=(60, 200)))
+    assert sorted(calls) == [60, 200]
 
 
 def test_sweep_ladder_decreasing():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,13 +17,17 @@ from crt_equidist.generators import (
     image_system,
     initial_segment_system,
     poly_roots_mod_prime_power,
+    pow_mod_array,
     pseudo_poly_roots,
     pseudo_system,
     restrict_primes,
+    roots_mod_prime,
+    roots_mod_primes,
     roots_system,
     segment_length,
     veronese_system,
 )
+from crt_equidist.modarith import prime_array
 from oracles import (
     derangement,
     is_prime_slow,
@@ -73,7 +79,7 @@ def test_poly_random_vs_brute():
 
 
 def test_poly_split_path_matches_scan():
-    # p above the scan threshold exercises the gcd-splitting branch
+    # a prime past 10^4, where roots were once found by a different branch
     p = 10007
     assert is_prime_slow(p)
     rng = random.Random(4)
@@ -305,3 +311,137 @@ def test_full_system_sets():
     s2 = full_system(2)
     assert s2.local_size(3, 1) == 9
     assert len(s2.local_set(3, 1)) == 9
+
+
+def _random_poly(rng, deg, lead):
+    """Random f of the given degree and leading coefficient that vanishes
+    modulo no prime."""
+    while True:
+        f = IntPolynomial(tuple(rng.randrange(-30, 31) for _ in range(deg)) + (lead,))
+        if math.gcd(*f.coeffs) == 1:
+            return f
+
+
+def _hard_polys(rng):
+    """Random f of degree 1-6 with the awkward cases mixed in: leading
+    coefficients that vanish mod small primes, repeated roots, and f
+    constant mod 2, 3 and 5."""
+    polys = [_random_poly(rng, rng.randrange(1, 7), rng.choice([1, -1, 2, 3, 7])) for _ in range(6)]
+    polys += [_random_poly(rng, d, 2 * 3 * 5 * 7 * 101) for d in (2, 4, 6)]
+    # (X - 1)^2 (X + 4)^3 and (X^2 + 1)^2 (X - 7)
+    polys += [IntPolynomial((-64, 0, 0, 8, 0, 1)), IntPolynomial((-7, 1, -14, 2, -7, 1))]
+    polys += [IntPolynomial((7, 30, -60, 90)), IntPolynomial((-11, 0, 0, 0, 0, 30))]
+    return polys
+
+
+def _product(*linears):
+    """The product of the linear factors c1 X + c0 given as (c0, c1)."""
+    coeffs = [1]
+    for c0, c1 in linears:
+        coeffs = [c0 * a + c1 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return IntPolynomial(tuple(coeffs))
+
+
+def _with_roots(roots):
+    return _product(*((-a, 1) for a in roots))
+
+
+def test_product_helper():
+    assert _with_roots((1, 1, -4)) == IntPolynomial((4, -7, 2, 1))
+    assert _product((1, 11), (-2, 1)) == IntPolynomial((-2, -21, 11))
+
+
+def test_roots_mod_primes_vs_full_scan():
+    rng = random.Random(70)
+    primes = prime_array(10**4)
+    polys = _hard_polys(rng) + [_with_roots((1, 1, -4, -4, -4)), _product((-3, 1), (-3, 1), (-5, 1), (1, 11))]
+    for f in polys:
+        got = roots_mod_primes(f, primes)
+        assert len(got) == len(primes)
+        for p, roots in zip(primes.tolist(), got):
+            assert roots == tuple(sorted(brute_poly_roots(f, p))), (f.coeffs, p)
+
+
+def test_roots_mod_primes_vs_single_prime_path():
+    rng = random.Random(71)
+    pool = prime_array(10**6)
+    for f in _hard_polys(rng):
+        primes = np.array(sorted(rng.sample(pool.tolist(), 150)), dtype=np.int64)
+        got = roots_mod_primes(f, primes)
+        for p, roots in zip(primes.tolist(), got):
+            assert list(roots) == roots_mod_prime(f, p), (f.coeffs, p)
+    # any order and repeats of the primes; the rows follow the input
+    f = _with_roots((2, 9, 9, 40))
+    primes = np.array([101, 13, 2, 101, 3, 7919], dtype=np.int64)
+    assert roots_mod_primes(f, primes) == [tuple(roots_mod_prime(f, p)) for p in primes.tolist()]
+    assert roots_mod_primes(f, []) == []
+
+
+def test_small_primes_exhaustive():
+    """Every f of degree <= 4 with coefficients in range(p), p = 2, 3, 5."""
+    for p in (2, 3, 5):
+        for coeffs in itertools.product(range(p), repeat=5):
+            f = IntPolynomial(coeffs)
+            if f.degree < 0:
+                continue
+            want = sorted(brute_poly_roots(f, p))
+            assert roots_mod_prime(f, p) == want, (coeffs, p)
+            assert roots_mod_primes(f, [p]) == [tuple(want)], (coeffs, p)
+    # p = 2 inside a larger batch, where X^2 + X has both residues as roots
+    assert roots_mod_primes(IntPolynomial((0, 1, 1)), [2, 3, 5]) == [(0, 1), (0, 2), (0, 4)]
+
+
+def test_roots_mod_primes_vanishing_polynomial():
+    f = IntPolynomial((6, 12, 30))  # zero mod 2 and mod 3
+    with pytest.raises(ValueError) as single:
+        roots_mod_prime(f, 2)
+    with pytest.raises(ValueError, match=re.escape(str(single.value))):
+        roots_mod_primes(f, [7, 5, 3, 2, 11])
+    with pytest.raises(ValueError, match="zero mod 3"):
+        roots_mod_primes(f, [5, 3, 7])
+    with pytest.raises(ValueError, match="zero mod 2"):
+        roots_mod_primes(IntPolynomial((0,)), [3, 2])
+    # coefficients past int64
+    big = IntPolynomial((10**30, 1))
+    assert roots_mod_primes(big, [7, 10007]) == [tuple(roots_mod_prime(big, p)) for p in (7, 10007)]
+    with pytest.raises(ValueError, match="zero mod 5"):
+        roots_mod_primes(IntPolynomial((5**40, 3 * 5**30)), [7, 5, 2])
+
+
+def test_roots_mod_primes_int64_limit():
+    # d (p - 1)^2 < 2^63: for d = 2 the bound is p <= 2^31, and 2^31 - 1 is prime
+    mersenne = 2**31 - 1
+    f = IntPolynomial((-2, 0, 1))
+    assert roots_mod_primes(f, [mersenne]) == [tuple(roots_mod_prime(f, mersenne))]
+    with pytest.raises(ValueError, match="2\\^63"):
+        roots_mod_primes(f, [13, 2**31 + 1])
+    # for d = 4 the bound is p - 1 < 2^30.5, so p <= isqrt(2^61 - 1) + 1
+    top = math.isqrt(2**61 - 1) + 1
+    p = top
+    while not is_prime_slow(p):
+        p -= 1
+    quartic = _with_roots((1, 5, 2**20, p - 3))
+    assert roots_mod_primes(quartic, [p]) == [tuple(sorted({1, 5, 2**20, p - 3}))]
+    with pytest.raises(ValueError, match="2\\^63"):
+        roots_mod_primes(quartic, [p, top + 1])
+
+
+def test_pow_mod_array_elementwise():
+    rng = random.Random(72)
+    xs = np.array([rng.randrange(0, 10**9) for _ in range(200)], dtype=np.int64)
+    es = np.array([rng.randrange(0, 10**6) for _ in range(200)], dtype=np.int64)
+    ms = np.array([rng.randrange(1, 3 * 10**9) for _ in range(200)], dtype=np.int64)
+    want = [pow(int(x), int(e), int(m)) if m > 1 else pow(int(x), int(e), 1) for x, e, m in zip(xs, es, ms)]
+    assert pow_mod_array(xs, es, ms).tolist() == [w if e else 1 for w, e in zip(want, es.tolist())]
+    assert pow_mod_array(xs, 65537, 10**9 + 7).tolist() == [pow(int(x), 65537, 10**9 + 7) for x in xs]
+
+
+def test_pow_mod_array_int64_limit():
+    # (m - 1)^2 < 2^63 holds up to m = isqrt(2^63 - 1) + 1
+    top = math.isqrt(2**63 - 1) + 1
+    xs = np.array([2, top - 1, 12345678901], dtype=np.int64)
+    assert pow_mod_array(xs, top - 2, top).tolist() == [pow(int(x), top - 2, top) for x in xs]
+    with pytest.raises(ValueError, match="2\\^63"):
+        pow_mod_array(xs, 3, top + 1)
+    with pytest.raises(ValueError, match="2\\^63"):
+        pow_mod_array(xs, 3, np.array([5, 7, top + 1], dtype=np.int64))
