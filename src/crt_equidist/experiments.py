@@ -324,33 +324,79 @@ def run_theorem_sweep(config):
 # ---------------------------------------------------------------------------
 # root-count tables
 
+# the float64 quotient below is exact while p^2 < 2^51
+_ROOT_COUNT_LIMIT = 2**25
+# steps whose residues are compared with the root target at once
+_COUNT_BLOCK = 8
+
+
+def _check_root_count_limit(bound, what):
+    if bound >= _ROOT_COUNT_LIMIT:
+        raise ValueError(
+            f"the root-count kernel is exact only for primes below 2^25 = {_ROOT_COUNT_LIMIT}; got {what} = {bound}"
+        )
+
+
 def _root_count_chunk(pp, P):
-    """Root counts of a pseudo-polynomial for sorted primes P.
+    """Root counts of a pseudo-polynomial for sorted nonempty primes P < 2^25.
 
     One shared pass of f(n) = 1 + sign*n*f(n-1): column j tracks f mod P[j]
-    and retires once n reaches P[j], so the pass costs sum(P) steps."""
+    and retires once n reaches P[j], so the pass costs sum(P) steps.
+
+    A residue F is held in float64 as G = F + 1/2. With k = sign*n, one step
+    forms the half-integer t = G*k + (3/2 - k/2) = (k*F + 1) + 1/2 and sets
+    G = t - floor(t * (1/P))*P. t/P lies at least 1/(2P) from an integer and
+    the rounding error of t * (1/P) is at most P*2^-52, so the floor is the
+    exact quotient while P^2 < 2^51, and every value stays an exact multiple
+    of 1/2 below 2^52. The G values of _COUNT_BLOCK steps fill the rows of
+    one buffer, which is compared with target + 1/2 once; a column whose
+    prime p falls inside the block holds NaN for its steps n >= p."""
     P = np.ascontiguousarray(P, dtype=np.int64)
+    last = int(P[-1])
+    _check_root_count_limit(last, "largest prime")
     m = len(P)
-    sign = pp.sign
-    target = np.full(m, pp.root_target, dtype=np.int64)
-    F = np.ones(m, dtype=np.int64)
-    R = (1 % P == target).astype(np.int64)
+    Pf = P.astype(np.float64)
+    inv = 1.0 / Pf
+    hit = pp.root_target + 0.5
+    sign = float(pp.sign)
+    R = (1 % P == pp.root_target).astype(np.int64)
+    rows = np.empty((_COUNT_BLOCK, m))
+    rows[-1] = 1.5
+    t = np.empty(m)
     j = 0
-    for n in range(1, int(P[-1])):
-        while j < m and P[j] <= n:
+    for n0 in range(1, last, _COUNT_BLOCK):
+        while P[j] <= n0:
             j += 1
-        if j >= m:
-            break
-        F[j:] = (sign * n * F[j:] + 1) % P[j:]
-        R[j:] += F[j:] == target[j:]
+        # the last row holds the residues after step n0 - 1
+        G, tj, invj, Pj = rows[-1, j:], t[j:], inv[j:], Pf[j:]
+        for r in range(_COUNT_BLOCK):
+            k = sign * (n0 + r)
+            row = rows[r, j:]
+            np.multiply(G, k, out=tj)
+            np.add(tj, 1.5 - 0.5 * k, out=tj)
+            np.multiply(tj, invj, out=row)
+            np.floor(row, out=row)
+            np.multiply(row, Pj, out=row)
+            np.subtract(tj, row, out=row)
+            G = row
+        c = j
+        while c < m and P[c] < n0 + _COUNT_BLOCK:
+            rows[P[c] - n0 :, c] = np.nan
+            c += 1
+        # roots are rare, so count the few hits rather than sum every column
+        found = np.flatnonzero(rows[:, j:] == hit)
+        if found.size:
+            np.add.at(R, j + found % (m - j), 1)
     return R
 
 
 def pseudo_root_counts(which, x):
     """(primes <= x, root count mod each prime) for a pseudo-polynomial.
 
-    One shared pass over all primes; total work is sum of p over p <= x."""
+    One shared pass over all primes; total work is sum of p over p <= x.
+    Refuses x >= 2^25, past which the float64 kernel would not be exact."""
     pp = _as_pseudo(which)
+    _check_root_count_limit(x, "x")
     primes = prime_array(x)
     if len(primes) == 0:
         return primes, np.zeros(0, dtype=np.int64)

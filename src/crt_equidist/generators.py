@@ -474,36 +474,37 @@ def roots_system(f):
     )
 
 
+def _root_map_system(dimension, f, point, name):
+    """System of point(a, p^v) over the roots a of f mod p^v; the bulk rule
+    maps the batched roots mod p through the same point map."""
+
+    def rule(p, v):
+        pv = p**v
+        return [point(a, pv) for a in poly_roots_mod_prime_power(f, p, v)]
+
+    def bulk_rule(primes):
+        return [[point(a, p) for a in roots] for p, roots in zip(primes.tolist(), roots_mod_primes(f, primes))]
+
+    return LocalSystem(dimension, rule, name=name, bulk_rule=bulk_rule)
+
+
 def veronese_system(f, d):
     """Points (a, a^2, ..., a^(d-1)) over roots a of f; dimension d-1."""
     if d < 2:
         raise ValueError(f"degree parameter must be >= 2, got {d}")
-
-    def rule(p, v):
-        pv = p**v
-        return [tuple(pow(a, j, pv) for j in range(1, d)) for a in poly_roots_mod_prime_power(f, p, v)]
-
-    return LocalSystem(d - 1, rule, name=f"veronese({f}, d={d})")
+    return _root_map_system(
+        d - 1, f, lambda a, m: tuple(pow(a, j, m) for j in range(1, d)), f"veronese({f}, d={d})"
+    )
 
 
 def image_system(f, g):
     """Images g(a) of the roots a of f; duplicates collapse (set semantics)."""
-
-    def rule(p, v):
-        pv = p**v
-        return sorted({g(a, pv) for a in poly_roots_mod_prime_power(f, p, v)})
-
-    return LocalSystem(1, rule, name=f"image({f}, {g})")
+    return _root_map_system(1, f, g, f"image({f}, {g})")
 
 
 def graph_system(f, g):
     """Pairs (a, g(a)) over roots a of f; dimension 2."""
-
-    def rule(p, v):
-        pv = p**v
-        return [(a, g(a, pv)) for a in poly_roots_mod_prime_power(f, p, v)]
-
-    return LocalSystem(2, rule, name=f"graph({f}, {g})")
+    return _root_map_system(2, f, lambda a, m: (a, g(a, m)), f"graph({f}, {g})")
 
 
 def bezout_system(f1, f2=None, budget=4_000_000):

@@ -168,6 +168,15 @@ def test_computational_error_exit(run_cli, tmp_path, capsys):
     assert err.startswith("error:") and "2^63" in err
 
 
+def test_table_refuses_root_count_limit(run_cli, tmp_path, capsys):
+    # refused before the sieve, so no report and no long pass
+    out = tmp_path / "big"
+    run_cli(["table", "--pseudo", "f1", "--x", "33554432", "--quiet", "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "below 2^25 = 33554432" in err
+    assert listdir(out) == ["config.txt"]
+
+
 def test_disc_outputs(run_cli, tmp_path):
     out = tmp_path / "d"
     run_cli(["disc", "--poly", "1,0,1", "--q", "65", "--H", "8", "--quiet", "--out", out])

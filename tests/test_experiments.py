@@ -8,6 +8,7 @@ from crt_equidist import analysis, crt_sets
 from crt_equidist.crt_sets import LocalSystem, save_local_system
 from crt_equidist.experiments import (
     ExperimentConfig,
+    _root_count_chunk,
     build_system,
     counterexample_contrast,
     poisson_table,
@@ -18,6 +19,7 @@ from crt_equidist.experiments import (
 )
 from crt_equidist.generators import (
     IntPolynomial,
+    PseudoPoly,
     initial_segment_system,
     pseudo_poly_roots,
     roots_system,
@@ -119,6 +121,42 @@ def test_root_counts_match_direct(which):
     assert len(primes) == len(counts) == 303
     for p, c in zip(primes.tolist(), counts.tolist()):
         assert c == len(pseudo_poly_roots(which, p)), (which, p)
+
+
+def _int64_root_counts(pp, P):
+    """The int64 loop the float64 kernel replaced, kept as its reference."""
+    P = np.ascontiguousarray(P, dtype=np.int64)
+    m = len(P)
+    sign = pp.sign
+    target = np.full(m, pp.root_target, dtype=np.int64)
+    F = np.ones(m, dtype=np.int64)
+    R = (1 % P == target).astype(np.int64)
+    j = 0
+    for n in range(1, int(P[-1])):
+        while j < m and P[j] <= n:
+            j += 1
+        if j >= m:
+            break
+        F[j:] = (sign * n * F[j:] + 1) % P[j:]
+        R[j:] += F[j:] == target[j:]
+    return R
+
+
+@pytest.mark.parametrize("which", ["f1", "f2", "f3"])
+def test_root_counts_match_int64_loop(which):
+    # every x <= 300 retires primes at every offset within a block
+    pp = PseudoPoly(which)
+    for x in [*range(2, 301), 20000]:
+        P = prime_array(x)
+        assert _root_count_chunk(pp, P).tolist() == _int64_root_counts(pp, P).tolist(), (which, x)
+
+
+def test_root_counts_limit():
+    with pytest.raises(ValueError, match="below 2\\^25"):
+        pseudo_root_counts("f1", 2**25)
+    # a direct caller is refused before the first step (2^25 + 35 is prime)
+    with pytest.raises(ValueError, match="largest prime = 33554467"):
+        _root_count_chunk(PseudoPoly("f1"), np.array([2, 2**25 + 35], dtype=np.int64))
 
 
 def test_root_counts_empty():

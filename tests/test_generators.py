@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from crt_equidist.crt_sets import hyperplane_max_local, point_count, residue_set, supported_moduli
+from crt_equidist.crt_sets import LocalSystem, hyperplane_max_local, point_count, residue_set, supported_moduli
 from crt_equidist.generators import (
     BivariatePoly,
     IntPolynomial,
@@ -185,6 +185,27 @@ def test_image_graph_vs_double_loop():
         assert set(image_system(f, g).local_set(p, v)) == {(g(a, pv),) for a in roots}
         assert set(graph_system(f, g).local_set(p, v)) == {(a, g(a, pv)) for a in roots}
 
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda f: graph_system(f, IntPolynomial((1, 0, 1))),
+        lambda f: image_system(f, IntPolynomial((0, 0, 1))),
+        lambda f: veronese_system(f, 4),
+    ],
+    ids=["graph", "image", "veronese"],
+)
+def test_root_map_prefill_matches_rule(make):
+    # 5X^4 + 3X^2 - 2 is even, so X^2 collapses the roots +-a, and it drops
+    # to degree 2 mod 5
+    bulk = make(IntPolynomial((-2, 0, 3, 0, 5)))
+    primes = prime_array(2000)
+    bulk.prefill(primes)
+    assert set(bulk._cache) == {(p, 1) for p in primes.tolist()}
+    single = LocalSystem(bulk.dimension, bulk.rule)
+    for p in primes.tolist():
+        assert bulk.local_set(p) == single.local_set(p), p
 
 def test_bezout_worked_pair():
     f1 = BivariatePoly(((3, 0, 1), (0, 3, 1), (0, 0, -1)))  # X^3 + Y^3 - 1
