@@ -361,7 +361,7 @@ def _root_count_chunk(pp, P):
     sign = float(pp.sign)
     R = (1 % P == pp.root_target).astype(np.int64)
     rows = np.empty((_COUNT_BLOCK, m))
-    rows[-1] = 1.5
+    rows[-1] = 1.5  # f(0) = 1
     t = np.empty(m)
     j = 0
     for n0 in range(1, last, _COUNT_BLOCK):
