@@ -37,13 +37,15 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x, m=None):
-        """Horner evaluation at an integer or elementwise at an int64 array,
-        reduced mod m after every step when m is given."""
+        """Horner evaluation at an integer or elementwise at an int64 array.
+        When m is given, every coefficient and every step is reduced mod m,
+        so coefficients past int64 reach no array."""
         acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-            if m is not None:
-                acc %= m
+            if m is None:
+                acc = acc * x + c
+            else:
+                acc = (acc * x + c % m) % m
         return acc
 
     def derivative(self):
@@ -99,7 +101,7 @@ class BivariatePoly:
         xs = np.arange(m, dtype=np.int64)
         by_dy = {}
         for dx, dy, c in self.terms:
-            by_dy.setdefault(dy, {})[dx] = c
+            by_dy.setdefault(dy, {})[dx] = c % m
         # per y-degree coefficient vectors c_j(x), then Horner in y
         cols = []
         for dy in range(max(by_dy, default=0) + 1):
@@ -142,12 +144,16 @@ class BivariatePoly:
 
 def pow_mod_array(xs, e, m):
     """Elementwise xs**e mod m by square-and-multiply. The exponent e >= 0
-    and the modulus m are scalars or int64 arrays broadcasting against xs;
-    every product stays below (max m - 1)^2, which must be under 2^63."""
-    m = np.asarray(m, dtype=np.int64)
-    require_int64((int(m.max(initial=1)) - 1) ** 2, "squared modulus (m - 1)^2")
+    and the modulus m are scalars or arrays broadcasting against xs. Integer
+    moduli run in int64, where every product stays below (max m - 1)^2,
+    which must be under 2^63; an object (Python-int) array of moduli runs
+    in Python ints, with no bound, and the result is an object array."""
+    m = np.asarray(m)
+    if m.dtype != object:
+        require_int64((int(m.max(initial=1)) - 1) ** 2, "squared modulus (m - 1)^2")
+        m = m.astype(np.int64)
     e = np.array(e, dtype=np.int64)
-    result = np.ones(np.broadcast_shapes(np.shape(xs), e.shape, m.shape), dtype=np.int64)
+    result = np.ones(np.broadcast_shapes(np.shape(xs), e.shape, m.shape), dtype=m.dtype)
     base = xs % m
     while e.any():
         result = np.where(e & 1, result * base % m, result)
@@ -159,110 +165,10 @@ def pow_mod_array(xs, e, m):
 # ---------------------------------------------------------------------------
 # univariate roots mod p and mod p^v
 
-def _pnorm(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pdivmod(a, b, p):
-    """Polynomial division mod p; b nonzero."""
-    a = a[:]
-    inv_lead = mod_inverse(b[-1], p)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        shift = len(a) - len(b)
-        factor = (a[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] = (a[i + shift] - factor * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return quot, a
-
-
-def _pgcd(a, b, p):
-    a, b = _pnorm(a, p), _pnorm(b, p)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = mod_inverse(a[-1], p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _pmulmod(a, b, f, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _pdivmod(out, f, p)[1]
-
-
-def _ppowmod(base, e, f, p):
-    result = [1]
-    base = _pdivmod(base, f, p)[1]
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _roots_mod_p_split(f, p):
-    """Roots mod an odd prime via gcd with x^p - x, then randomized
-    splitting. The RNG is seeded from (p, coeffs) so results are
-    reproducible."""
-    fp = _pnorm(list(f.coeffs), p)
-    if len(fp) == 1:
-        return []
-    xp = _ppowmod([0, 1], p, fp, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _pgcd(fp, xp_minus_x, p)
-    roots = []
-    seed = p
-    for c in f.coeffs:
-        seed = seed * 1000003 + c % p
-    rng = random.Random(seed)
-    stack = [g] if len(g) >= 2 else []
-    while stack:
-        h = stack.pop()
-        if len(h) == 2:
-            roots.append((-h[0] * mod_inverse(h[1], p)) % p)
-            continue
-        while True:
-            c = rng.randrange(p)
-            probe = _ppowmod([c, 1], (p - 1) // 2, h, p)
-            probe = probe[:] if probe else [0]
-            probe[0] = (probe[0] - 1) % p
-            d = _pgcd(h, probe, p)
-            if 1 < len(d) < len(h):
-                stack.append(d)
-                stack.append(_pdivmod(h, d, p)[0])
-                break
-    return sorted(roots)
-
-
-def roots_mod_prime(f, p):
-    """All a in [0, p) with f(a) = 0 mod p, for one prime: by evaluation at
-    p = 2, by gcd splitting otherwise. Error if f vanishes mod p.
-    `roots_mod_primes` serves many primes at once."""
-    if not f.nonzero_mod(p):
-        raise ValueError(f"polynomial {f} is identically zero mod {p}")
-    if p == 2:
-        return [a for a in (0, 1) if f(a, 2) == 0]
-    return _roots_mod_p_split(f, p)
-
-
-# Batched root finding. Each row of an int64 array is one polynomial mod its
-# own prime, constant term first; the row helpers take the primes as a
-# column `p` of shape (R, 1).
+# Batched root finding. Each row of an array is one polynomial mod its own
+# prime, constant term first; the row helpers take the primes as a column
+# `p` of shape (R, 1). The rows are int64, or Python ints (dtype=object)
+# where int64 products could overflow, and every helper keeps the dtype.
 
 def _degrees(a):
     """Degree of each row, -1 for a zero row."""
@@ -283,7 +189,7 @@ def _mulmod_rows(a, b, g, p):
     """a * b mod (g, p) for residue rows of width k. A column of the product
     sums at most k terms below (p - 1)^2 before it is reduced."""
     rows, k = a.shape
-    prod = np.zeros((rows, 2 * k - 1), dtype=np.int64)
+    prod = np.zeros((rows, 2 * k - 1), dtype=a.dtype)
     for i in range(k):
         prod[:, i : i + k] += a[:, i : i + 1] * b
     return _reduce_rows(prod % p, g, p)
@@ -293,11 +199,11 @@ def _pow_linear_rows(c, e, g, p):
     """(X + c)^e mod (g, p), left-to-right over the bits of each row's own
     exponent e; leading zero bits only square the 1 the result starts at."""
     rows, k = g.shape[0], g.shape[1] - 1
-    acc = np.zeros((rows, k), dtype=np.int64)
+    acc = np.zeros((rows, k), dtype=g.dtype)
     acc[:, 0] = 1
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         acc = _mulmod_rows(acc, acc, g, p)
-        step = np.zeros((rows, k + 1), dtype=np.int64)
+        step = np.zeros((rows, k + 1), dtype=g.dtype)
         step[:, 1:] = acc
         step[:, :k] += c[:, None] * acc
         acc = np.where((e >> bit & 1 == 1)[:, None], _reduce_rows(step % p, g, p), acc)
@@ -328,10 +234,10 @@ def _gcd_rows(a, b, p):
 
 
 def _int_mod(c, primes):
-    """A Python integer mod each prime of an int64 array."""
-    if -INT64_LIMIT < c < INT64_LIMIT:
+    """A Python integer mod each prime of an array, in the array's dtype."""
+    if primes.dtype == np.int64 and -INT64_LIMIT < c < INT64_LIMIT:
         return np.int64(c) % primes
-    return np.array([c % p for p in primes.tolist()], dtype=np.int64)
+    return np.array([c % p for p in primes.tolist()], dtype=primes.dtype)
 
 
 def _file_factors(rows, u, deg, p, hits, pending):
@@ -402,23 +308,26 @@ def _block_roots(coeffs, p, rng):
             np.concatenate([r for r, _ in parts]), np.concatenate([u for _, u in parts]), p, rng, hits, pending
         )
     rows = np.concatenate([r for r, _ in hits])
-    roots = np.concatenate([v for _, v in hits])
+    # every root is below its prime, so int64 holds it on either kind of row
+    roots = np.concatenate([v for _, v in hits]).astype(np.int64)
     flat = iter(roots[np.lexsort((roots, rows))].tolist())
     return [tuple(itertools.islice(flat, n)) for n in np.bincount(rows, minlength=len(p)).tolist()]
 
 
 def roots_mod_primes(f, primes):
-    """The roots of f mod each prime of an int64 array, as sorted tuples in
-    the order of `primes`: Cantor-Zassenhaus over all primes at once, in
-    blocks of _ROOT_BLOCK rows. Rows are grouped by the degree of f mod p
-    and made monic; gcd(f, X^p - X) keeps the distinct roots, which
+    """The roots of f mod each prime p < 2^63 of an int64 array, as sorted
+    tuples in the order of `primes`: Cantor-Zassenhaus over all primes at
+    once, in blocks of _ROOT_BLOCK rows. Rows are grouped by the degree of
+    f mod p and made monic; gcd(f, X^p - X) keeps the distinct roots, which
     equal-degree splitting separates. p = 2 is answered by evaluation.
-    Refuses d (p - 1)^2 >= 2^63 and, like `roots_mod_prime`, a prime
-    modulo which f vanishes (the smallest one)."""
+    A block runs on int64 rows while d (p - 1)^2 < 2^63 for its largest
+    prime, and on Python-int rows past that, so every prime is served
+    exactly; ascending primes switch only in the trailing blocks. This is
+    the package's only root finder mod p. Refuses a prime modulo which f
+    vanishes (the smallest one)."""
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size == 0:
         return []
-    require_int64(f.degree * (int(primes.max()) - 1) ** 2, "degree times (p - 1)^2")
     # f vanishes mod p iff p divides the gcd of its coefficients
     vanish = _int_mod(math.gcd(*f.coeffs), primes) == 0
     if vanish.any():
@@ -429,18 +338,25 @@ def roots_mod_primes(f, primes):
     out = []
     for start in range(0, len(primes), _ROOT_BLOCK):
         block = primes[start : start + _ROOT_BLOCK]
+        # a column of a row product sums up to d terms below (p - 1)^2
+        if f.degree * (int(block.max()) - 1) ** 2 >= INT64_LIMIT:
+            block = block.astype(object)
         out += _block_roots(np.stack([_int_mod(c, block) for c in f.coeffs], axis=1), block, rng)
     return out
 
 
-def poly_roots_mod_prime_power(f, p, v):
-    """All a in [0, p^v) with f(a) = 0 mod p^v, via Hensel lifting: unique
-    lift at nonsingular roots, all p candidates tried at singular ones."""
+def poly_roots_mod_prime_power(f, p, v, roots=None):
+    """All a in [0, p^v) with f(a) = 0 mod p^v, by Hensel lifting from the
+    roots mod p: `roots` when the caller has them, else one
+    `roots_mod_primes` call. A nonsingular root lifts uniquely. At a
+    singular root a mod p^w (p | f'(a)), f(a + j p^w) = f(a) mod p^(w+1)
+    for every j, so one evaluation decides whether all p lifts are roots
+    or none is."""
     if v < 1:
         raise ValueError(f"exponent must be >= 1, got {v}")
     if v * math.log2(p) >= 63:
         raise ValueError(f"{p}^{v} exceeds the 64-bit working range")
-    cur = roots_mod_prime(f, p)
+    cur = roots_mod_primes(f, [p])[0] if roots is None else roots
     deriv = f.derivative()
     pw = p
     for _ in range(v - 1):
@@ -451,11 +367,8 @@ def poly_roots_mod_prime_power(f, p, v):
             if da != 0:
                 t = ((-(f(a, step) // pw)) * mod_inverse(da, p)) % p
                 nxt.append(a + t * pw)
-            else:
-                for j in range(p):
-                    cand = a + j * pw
-                    if f(cand, step) == 0:
-                        nxt.append(cand)
+            elif f(a, step) == 0:
+                nxt.extend(range(a, step, pw))
         pw = step
         cur = sorted(nxt)
     return tuple(cur)
@@ -465,25 +378,29 @@ def poly_roots_mod_prime_power(f, p, v):
 # systems
 
 def roots_system(f):
-    """1-dimensional system of the roots of f at each prime power."""
-    return LocalSystem(
-        1,
-        lambda p, v: poly_roots_mod_prime_power(f, p, v),
-        name=f"roots({f})",
-        bulk_rule=lambda primes: roots_mod_primes(f, primes),
-    )
+    """1-dimensional system of the roots of f at each prime power. The set
+    at p^v (v >= 2) is lifted from the system's own cached set at p."""
+
+    def rule(p, v):
+        base = None if v == 1 else [a for (a,) in system.local_set(p)]
+        return poly_roots_mod_prime_power(f, p, v, base)
+
+    system = LocalSystem(1, rule, name=f"roots({f})", bulk_rule=lambda primes: roots_mod_primes(f, primes))
+    return system
 
 
 def _root_map_system(dimension, f, point, name):
-    """System of point(a, p^v) over the roots a of f mod p^v; the bulk rule
-    maps the batched roots mod p through the same point map."""
+    """System of point(a, p^v) over the roots a of f mod p^v, read from one
+    `roots_system(f)`; the bulk rule prefills that system first."""
+    roots = roots_system(f)
 
     def rule(p, v):
         pv = p**v
-        return [point(a, pv) for a in poly_roots_mod_prime_power(f, p, v)]
+        return [point(a, pv) for (a,) in roots.local_set(p, v)]
 
     def bulk_rule(primes):
-        return [[point(a, p) for a in roots] for p, roots in zip(primes.tolist(), roots_mod_primes(f, primes))]
+        roots.prefill(primes)
+        return [rule(p, 1) for p in primes.tolist()]
 
     return LocalSystem(dimension, rule, name=name, bulk_rule=bulk_rule)
 

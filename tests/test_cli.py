@@ -197,6 +197,34 @@ def test_disc_outputs(run_cli, tmp_path):
     assert "spectrum.json" not in listdir(out2)
 
 
+def test_disc_past_int64_rows(run_cli, tmp_path):
+    # q = 5000000029 is a prime = 1 mod 4 past the int64 rows of the root
+    # finder for X^2 + 1, so its two roots come from Python-int rows
+    q = 5000000029
+    out = tmp_path / "dq"
+    run_cli(["disc", "--poly", "1,0,1", "--q", str(q), "--quiet", "--out", out])
+    result = read_json(out / "result.json")
+    assert result["q"] == q and result["rho"] == 2
+    for end in result["witness"]["closed_arc"]:
+        num, den = map(int, end.split("/"))
+        assert den == q and (num * num + 1) % q == 0
+
+
+def test_coefficients_past_int64(run_cli, tmp_path):
+    # each coefficient is reduced mod the modulus before it meets an array
+    reports = []
+    for name, f1 in (("big", "100000000000000000000,1"), ("small", f"{10**20 % 7},1")):
+        run_cli(["expsum", "--f1", f1, "--f2", "0,1", "--q", "7", "--quiet", "--out", tmp_path / name])
+        reports.append(read_json(tmp_path / name / "report.json")["rows"])
+    c = -100000000000000000017
+    for name, const in (("ffbig", c), ("ffsmall", c % (101 * 211))):
+        run_cli(["ffield", "--curve", f"0,2,1;3,0,-1;0,0,{const}", "--p-set", "101,211",
+                 "--quiet", "--out", tmp_path / name])
+        reports.append(read_json(tmp_path / name / "report.json")["rows"])
+    assert reports[0] == reports[1] and reports[2] == reports[3]
+    assert len(reports[0]) == 1 and len(reports[2]) == 2
+
+
 def test_expsum_outputs(run_cli, tmp_path):
     out = tmp_path / "x1"
     run_cli(["expsum", "--f1", "1,0,1", "--f2", "0,1", "--a", "1", "--q", "35",

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from crt_equidist.crt_sets import LocalSystem, hyperplane_max_local, point_count, residue_set, supported_moduli
+from crt_equidist import generators
+from crt_equidist.crt_sets import hyperplane_max_local, point_count, residue_set, supported_moduli
 from crt_equidist.generators import (
     BivariatePoly,
     IntPolynomial,
@@ -21,13 +22,12 @@ from crt_equidist.generators import (
     pseudo_poly_roots,
     pseudo_system,
     restrict_primes,
-    roots_mod_prime,
     roots_mod_primes,
     roots_system,
     segment_length,
     veronese_system,
 )
-from crt_equidist.modarith import prime_array
+from crt_equidist.modarith import mod_inverse, prime_array
 from oracles import (
     derangement,
     is_prime_slow,
@@ -86,6 +86,24 @@ def test_poly_split_path_matches_scan():
     for _ in range(10):
         f = IntPolynomial(tuple(rng.randrange(-50, 51) for _ in range(4)) + (1,))
         assert set(poly_roots_mod_prime_power(f, p, 1)) == brute_poly_roots(f, p)
+
+
+def test_singular_lift_one_evaluation():
+    # 0 is a singular root of X^2 - p mod p, and f(0) = -p is not 0 mod p^2,
+    # so no lift of it is a root mod p^2; one evaluation shows that, where a
+    # scan would try all p lifts
+    for p in (1_000_003, 2**31 - 1):
+        assert poly_roots_mod_prime_power(IntPolynomial((-p, 0, 1)), p, 2) == ()
+    # singular roots whose lifts are all roots, some roots, or none, against
+    # a full scan at p^v <= 10^6
+    rng = random.Random(9)
+    for p, v in ((2, 19), (3, 12), (5, 8), (7, 7), (11, 5), (13, 5), (31, 4), (97, 3), (101, 2), (997, 2)):
+        polys = [IntPolynomial((0, 0, 1)), IntPolynomial((-p, 0, 1)), IntPolynomial((p**3, 0, 0, 1)),
+                 IntPolynomial((-(p**2), 0, 1)), _with_roots((1, 1, 1 + p, 4))]
+        a, b = rng.randrange(p), rng.randrange(p)
+        polys.append(_product((-a, 1), (-a - p, 1), (-b, 1), (p * rng.randrange(1, 9), 1)))
+        for f in polys:
+            assert set(poly_roots_mod_prime_power(f, p, v)) == brute_poly_roots(f, p**v), (f.coeffs, p, v)
 
 
 def test_lift_consistency():
@@ -199,13 +217,17 @@ def test_image_graph_vs_double_loop():
 def test_root_map_prefill_matches_rule(make):
     # 5X^4 + 3X^2 - 2 is even, so X^2 collapses the roots +-a, and it drops
     # to degree 2 mod 5
-    bulk = make(IntPolynomial((-2, 0, 3, 0, 5)))
+    f = IntPolynomial((-2, 0, 3, 0, 5))
+    bulk = make(f)
     primes = prime_array(2000)
     bulk.prefill(primes)
     assert set(bulk._cache) == {(p, 1) for p in primes.tolist()}
-    single = LocalSystem(bulk.dimension, bulk.rule)
+    # a fresh system, never prefilled, finds every set one prime at a time
+    single = make(f)
     for p in primes.tolist():
         assert bulk.local_set(p) == single.local_set(p), p
+    assert bulk.local_set(3, 2) == single.local_set(3, 2)
+
 
 def test_bezout_worked_pair():
     f1 = BivariatePoly(((3, 0, 1), (0, 3, 1), (0, 0, -1)))  # X^3 + Y^3 - 1
@@ -372,6 +394,109 @@ def test_product_helper():
     assert _product((1, 11), (-2, 1)) == IntPolynomial((-2, -21, 11))
 
 
+# The scalar Cantor-Zassenhaus split that found roots one prime at a time
+# before `roots_mod_primes` served every prime, kept as the reference.
+
+def _pnorm(a, p):
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pdivmod(a, b, p):
+    """Polynomial division mod p; b nonzero."""
+    a = a[:]
+    inv_lead = mod_inverse(b[-1], p)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b) and a:
+        shift = len(a) - len(b)
+        factor = (a[-1] * inv_lead) % p
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            a[i + shift] = (a[i + shift] - factor * c) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return quot, a
+
+
+def _pgcd(a, b, p):
+    a, b = _pnorm(a, p), _pnorm(b, p)
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    if a:
+        inv = mod_inverse(a[-1], p)
+        a = [(c * inv) % p for c in a]
+    return a
+
+
+def _pmulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = (out[i + j] + ca * cb) % p
+    return _pdivmod(out, f, p)[1]
+
+
+def _ppowmod(base, e, f, p):
+    result = [1]
+    base = _pdivmod(base, f, p)[1]
+    while e:
+        if e & 1:
+            result = _pmulmod(result, base, f, p)
+        base = _pmulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def _roots_mod_p_split(f, p):
+    """Roots mod an odd prime via gcd with x^p - x, then randomized
+    splitting. The RNG is seeded from (p, coeffs) so results are
+    reproducible."""
+    fp = _pnorm(list(f.coeffs), p)
+    if len(fp) == 1:
+        return []
+    xp = _ppowmod([0, 1], p, fp, p)
+    xp_minus_x = xp[:]
+    while len(xp_minus_x) < 2:
+        xp_minus_x.append(0)
+    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    g = _pgcd(fp, xp_minus_x, p)
+    roots = []
+    seed = p
+    for c in f.coeffs:
+        seed = seed * 1000003 + c % p
+    rng = random.Random(seed)
+    stack = [g] if len(g) >= 2 else []
+    while stack:
+        h = stack.pop()
+        if len(h) == 2:
+            roots.append((-h[0] * mod_inverse(h[1], p)) % p)
+            continue
+        while True:
+            c = rng.randrange(p)
+            probe = _ppowmod([c, 1], (p - 1) // 2, h, p)
+            probe = probe[:] if probe else [0]
+            probe[0] = (probe[0] - 1) % p
+            d = _pgcd(h, probe, p)
+            if 1 < len(d) < len(h):
+                stack.append(d)
+                stack.append(_pdivmod(h, d, p)[0])
+                break
+    return sorted(roots)
+
+
+def _split_roots(f, p):
+    """All a in [0, p) with f(a) = 0 mod p, for one prime: by evaluation at
+    p = 2, by gcd splitting otherwise. Error if f vanishes mod p."""
+    if not f.nonzero_mod(p):
+        raise ValueError(f"polynomial {f} is identically zero mod {p}")
+    if p == 2:
+        return [a for a in (0, 1) if f(a, 2) == 0]
+    return _roots_mod_p_split(f, p)
+
+
 def test_roots_mod_primes_vs_full_scan():
     rng = random.Random(70)
     primes = prime_array(10**4)
@@ -390,11 +515,11 @@ def test_roots_mod_primes_vs_single_prime_path():
         primes = np.array(sorted(rng.sample(pool.tolist(), 150)), dtype=np.int64)
         got = roots_mod_primes(f, primes)
         for p, roots in zip(primes.tolist(), got):
-            assert list(roots) == roots_mod_prime(f, p), (f.coeffs, p)
+            assert list(roots) == _split_roots(f, p), (f.coeffs, p)
     # any order and repeats of the primes; the rows follow the input
     f = _with_roots((2, 9, 9, 40))
     primes = np.array([101, 13, 2, 101, 3, 7919], dtype=np.int64)
-    assert roots_mod_primes(f, primes) == [tuple(roots_mod_prime(f, p)) for p in primes.tolist()]
+    assert roots_mod_primes(f, primes) == [tuple(_split_roots(f, p)) for p in primes.tolist()]
     assert roots_mod_primes(f, []) == []
 
 
@@ -406,7 +531,7 @@ def test_small_primes_exhaustive():
             if f.degree < 0:
                 continue
             want = sorted(brute_poly_roots(f, p))
-            assert roots_mod_prime(f, p) == want, (coeffs, p)
+            assert _split_roots(f, p) == want, (coeffs, p)
             assert roots_mod_primes(f, [p]) == [tuple(want)], (coeffs, p)
     # p = 2 inside a larger batch, where X^2 + X has both residues as roots
     assert roots_mod_primes(IntPolynomial((0, 1, 1)), [2, 3, 5]) == [(0, 1), (0, 2), (0, 4)]
@@ -415,7 +540,7 @@ def test_small_primes_exhaustive():
 def test_roots_mod_primes_vanishing_polynomial():
     f = IntPolynomial((6, 12, 30))  # zero mod 2 and mod 3
     with pytest.raises(ValueError) as single:
-        roots_mod_prime(f, 2)
+        _split_roots(f, 2)
     with pytest.raises(ValueError, match=re.escape(str(single.value))):
         roots_mod_primes(f, [7, 5, 3, 2, 11])
     with pytest.raises(ValueError, match="zero mod 3"):
@@ -424,18 +549,25 @@ def test_roots_mod_primes_vanishing_polynomial():
         roots_mod_primes(IntPolynomial((0,)), [3, 2])
     # coefficients past int64
     big = IntPolynomial((10**30, 1))
-    assert roots_mod_primes(big, [7, 10007]) == [tuple(roots_mod_prime(big, p)) for p in (7, 10007)]
+    assert roots_mod_primes(big, [7, 10007]) == [tuple(_split_roots(big, p)) for p in (7, 10007)]
     with pytest.raises(ValueError, match="zero mod 5"):
         roots_mod_primes(IntPolynomial((5**40, 3 * 5**30)), [7, 5, 2])
 
 
+def _next_prime(n):
+    while not is_prime_slow(n):
+        n += 1
+    return n
+
+
 def test_roots_mod_primes_int64_limit():
-    # d (p - 1)^2 < 2^63: for d = 2 the bound is p <= 2^31, and 2^31 - 1 is prime
+    # int64 rows hold d (p - 1)^2 < 2^63: for d = 2 up to p <= 2^31, and
+    # 2^31 - 1 is prime; past the bound the block runs on Python-int rows
     mersenne = 2**31 - 1
     f = IntPolynomial((-2, 0, 1))
-    assert roots_mod_primes(f, [mersenne]) == [tuple(roots_mod_prime(f, mersenne))]
-    with pytest.raises(ValueError, match="2\\^63"):
-        roots_mod_primes(f, [13, 2**31 + 1])
+    assert roots_mod_primes(f, [mersenne]) == [tuple(_split_roots(f, mersenne))]
+    past = _next_prime(2**31 + 1)
+    assert roots_mod_primes(f, [13, past]) == [tuple(_split_roots(f, p)) for p in (13, past)]
     # for d = 4 the bound is p - 1 < 2^30.5, so p <= isqrt(2^61 - 1) + 1
     top = math.isqrt(2**61 - 1) + 1
     p = top
@@ -443,8 +575,50 @@ def test_roots_mod_primes_int64_limit():
         p -= 1
     quartic = _with_roots((1, 5, 2**20, p - 3))
     assert roots_mod_primes(quartic, [p]) == [tuple(sorted({1, 5, 2**20, p - 3}))]
-    with pytest.raises(ValueError, match="2\\^63"):
-        roots_mod_primes(quartic, [p, top + 1])
+    past = _next_prime(top + 1)
+    assert roots_mod_primes(quartic, [p, past]) == [tuple(_split_roots(quartic, r)) for r in (p, past)]
+
+
+def _times(f, g):
+    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial(tuple(out))
+
+
+def _non_residue(p):
+    return next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483659, 2**61 - 1])
+def test_roots_mod_primes_python_int_rows(p):
+    # at d = 2 the prime 2^31 - 1 runs on int64 rows, the next prime past
+    # 2^31 and 2^61 - 1 on Python-int rows; at d = 4 all three do. Times
+    # X^2 - n for a non-residue n, the chosen roots are all the roots.
+    n = _non_residue(p)
+    for chosen in ((5, 2**30 + 7), (1, p - 1, 3**19 % p, 2**29)):
+        f = _with_roots(chosen)
+        assert roots_mod_primes(f, [p]) == [tuple(sorted(chosen))]
+        assert roots_mod_primes(_times(f, IntPolynomial((-n, 0, 1))), [p]) == [tuple(sorted(chosen))]
+
+
+def test_roots_mod_primes_mixed_row_kinds(monkeypatch):
+    # one unsorted call: the first block holds the large primes and runs on
+    # Python ints, the second holds only small ones and runs on int64
+    kinds = []
+    block_roots = generators._block_roots
+
+    def spy(coeffs, p, rng):
+        kinds.append(coeffs.dtype)
+        return block_roots(coeffs, p, rng)
+
+    monkeypatch.setattr(generators, "_block_roots", spy)
+    primes = [2**61 - 1, 2147483659, 5000000029, 2**31 - 1] + prime_array(10**4)[1100::-1].tolist()
+    chosen = (2, 9, 2**40)
+    got = roots_mod_primes(_with_roots(chosen), primes)
+    assert kinds == [object, np.int64]
+    assert got == [tuple(sorted({a % p for a in chosen})) for p in primes]
 
 
 def test_pow_mod_array_elementwise():
@@ -457,6 +631,17 @@ def test_pow_mod_array_elementwise():
     assert pow_mod_array(xs, 65537, 10**9 + 7).tolist() == [pow(int(x), 65537, 10**9 + 7) for x in xs]
 
 
+def test_pow_mod_array_python_int_moduli():
+    # object moduli past the int64 bound (m - 1)^2 < 2^63, that is past
+    # m = 3.04e9, run on Python ints
+    rng = random.Random(74)
+    ms = [rng.randrange(3_040_000_000, 2**63) for _ in range(60)] + [3_037_000_501, 2**61 - 1, 2**63 - 25]
+    xs = [rng.randrange(0, 2**63) for _ in ms]
+    es = [rng.randrange(0, 2**62) for _ in ms]
+    got = pow_mod_array(np.array(xs, dtype=np.int64), np.array(es, dtype=np.int64), np.array(ms, dtype=object))
+    assert got.tolist() == [pow(x, e, m) for x, e, m in zip(xs, es, ms)]
+
+
 def test_pow_mod_array_int64_limit():
     # (m - 1)^2 < 2^63 holds up to m = isqrt(2^63 - 1) + 1
     top = math.isqrt(2**63 - 1) + 1
@@ -466,3 +651,6 @@ def test_pow_mod_array_int64_limit():
         pow_mod_array(xs, 3, top + 1)
     with pytest.raises(ValueError, match="2\\^63"):
         pow_mod_array(xs, 3, np.array([5, 7, top + 1], dtype=np.int64))
+    # an unsigned modulus past 2^63 is refused, not wrapped to a negative int64
+    with pytest.raises(ValueError, match="2\\^63"):
+        pow_mod_array(xs, 3, np.uint64(2**64 - 1))
