@@ -12,9 +12,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .crt_sets import (
-    ResidueSet, TorusPointSet, fractional_points, hyperplane_max, iter_supported, local_profile, point_count, residue_set
+    ResidueSet, TorusPointSet, fractional_points, hyperplane_max, iter_supported, local_profile, numerators_1d,
+    point_count, residue_set
 )
-from .modarith import factor_tuples, require_int64
+from .modarith import INT64_LIMIT, factor_tuples, require_int64
 
 
 @dataclass(eq=False)
@@ -158,25 +159,40 @@ def second_moment_check(system, q, h, tol=1e-9):
 # ---------------------------------------------------------------------------
 # discrepancy
 
-def _closed_arc_scan(u, counts, q):
-    """Exact sup over closed arcs of (mass - length), scaled by N*q.
+def _closed_arc_scan(u, counts, moduli, lengths):
+    """Exact sup over closed arcs of (mass - length), scaled by N*q, for
+    each segment of a batch of 1-dimensional point sets.
 
-    u: sorted unique int64 positions in [0, q); counts: multiplicities.
-    Closed-arc deviations separate as end-score minus start-score, and the
-    wrap-around case gives the same difference, so the sup is
-    max(A) - min(B). By circle complementation this also equals the sup
-    over open arcs of (length - mass), hence the full discrepancy.
-    Returns (numerator, start_index, end_index); denominator is N*q, which
-    must stay below 2^63.
+    Segment s holds lengths[s] >= 1 sorted unique int64 positions in
+    [0, moduli[s]) with their multiplicities `counts`; the segments lie one
+    after another in u. Closed-arc deviations separate as end-score minus
+    start-score, and the wrap-around case gives the same difference, so the
+    sup is max(A) - min(B) over the segment. By circle complementation this
+    also equals the sup over open arcs of (length - mass), hence the full
+    discrepancy. Returns int64 arrays (numerator, start_index, end_index)
+    with one entry per segment, the indices counted within the segment at
+    their first occurrence; the denominator is N*q, which must stay below
+    2^63.
     """
-    N = int(counts.sum())
-    require_int64(N * q, "N*q")
+    starts = np.cumsum(lengths) - lengths
+    N = np.add.reduceat(counts, starts)
+    # N*q < 2^63 iff q <= (2^63 - 1) // N, which cannot overflow
+    over = moduli > (INT64_LIMIT - 1) // N
+    if over.any():
+        s = int(np.argmax(over))
+        require_int64(int(N[s]) * int(moduli[s]), "N*q")
+    q = np.repeat(moduli, lengths)
+    # prefix counts restart in each segment, so q * pref stays below N * q
     pref = np.cumsum(counts)
-    A = q * pref - N * u
+    pref -= np.repeat(pref[starts] - counts[starts], lengths)
+    A = q * pref - np.repeat(N, lengths) * u
     B = A - q * counts
-    j = int(np.argmax(A))
-    i = int(np.argmin(B))
-    return int(A[j] - B[i]), i, j
+    top = np.maximum.reduceat(A, starts)
+    bottom = np.minimum.reduceat(B, starts)
+    pos = np.arange(len(u))
+    j = np.minimum.reduceat(np.where(A == np.repeat(top, lengths), pos, len(u)), starts) - starts
+    i = np.minimum.reduceat(np.where(B == np.repeat(bottom, lengths), pos, len(u)), starts) - starts
+    return top - bottom, i, j
 
 
 def interval_discrepancy(ps):
@@ -188,7 +204,8 @@ def interval_discrepancy(ps):
     raw = ps.array[:, 0]
     require_int64(len(raw) * q, "N*q")
     u, counts = np.unique(raw, return_counts=True)
-    num, i, j = _closed_arc_scan(u, counts, q)
+    nums, starts, ends = _closed_arc_scan(u, counts, np.array([q]), np.array([len(u)]))
+    num, i, j = int(nums[0]), int(starts[0]), int(ends[0])
     den = len(raw) * q
     frac = Fraction(num, den)
     witness = {
@@ -512,24 +529,17 @@ def aggregate_stats(
     if not exact_1d and disc_mode != "exact":
         h_val = H if isinstance(H, int) else _auto_H(system, x)
 
-    def handle(q, parts, rho):
-        if exact_1d:
-            # the SPF factors are at hand; the scan needs no TorusPointSet
-            pts = residue_set(system, q, parts).array
-            num, _, _ = _closed_arc_scan(pts[:, 0], np.ones(len(pts), dtype=np.int64), q)
-            disc = num / (len(pts) * q)
+    def handle(q, rho):
+        # no `parts` here: the benchmark's span test expects the 2-D sweep
+        # to reach `factor_tuples`, which factors q a second time
+        ps = fractional_points(residue_set(system, q))
+        pts = ps.array
+        if disc_mode == "exact":
+            disc = box_discrepancy(ps, mode="exact", budget=budget).value
             method = "exact"
         else:
-            # no `parts` here: the benchmark's span test expects the 2-D
-            # sweep to reach `factor_tuples`, which factors q a second time
-            ps = fractional_points(residue_set(system, q))
-            pts = ps.array
-            if disc_mode == "exact":
-                disc = box_discrepancy(ps, mode="exact", budget=budget).value
-                method = "exact"
-            else:
-                disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
-                method = "erdos_turan"
+            disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
+            method = "erdos_turan"
         mass_count = None
         if reg:
             inside = np.ones(len(pts), dtype=bool)
@@ -538,7 +548,11 @@ def aggregate_stats(
             mass_count = int(inside.sum())
         return (q, rho, disc, mass_count, method)
 
-    rows = [handle(q, parts, rho) for q, parts, rho in iter_supported(system, x, k)]
+    moduli = iter_supported(system, x, k)
+    if exact_1d:
+        rows = [row for chunk in _point_chunks(moduli) for row in _exact_1d_rows(system, chunk, reg)]
+    else:
+        rows = [handle(q, rho) for q, _, rho in moduli]
 
     if not rows:
         raise NoSupportedModuliError(f"no supported moduli up to {x}" + (f" with k={k}" if k else ""))
@@ -562,6 +576,52 @@ def aggregate_stats(
         method=method,
         per_q=tuple((r[0], r[1], r[2]) for r in rows) if include_per_q else None,
     )
+
+
+# points per chunk of the 1-D exact path, which bounds the arrays that one
+# CRT fold and one arc scan hold
+_POINT_BUDGET = 1 << 11
+
+
+def _point_chunks(moduli):
+    """Group (q, parts, rho) items, in their order, into lists whose rho sum
+    to at most _POINT_BUDGET; an item over the budget gets a list of its
+    own."""
+    chunk, points = [], 0
+    for item in moduli:
+        if chunk and points + item[2] > _POINT_BUDGET:
+            yield chunk
+            chunk, points = [], 0
+        chunk.append(item)
+        points += item[2]
+    if chunk:
+        yield chunk
+
+
+def _exact_1d_rows(system, chunk, reg):
+    """The (q, rho, disc, mass_count, "exact") rows of a chunk of supported
+    moduli of a 1-dimensional system, from one CRT fold and one arc scan."""
+    q_list = [q for q, _, _ in chunk]
+    rho_list = [rho for _, _, rho in chunk]
+    qs, rho = np.array(q_list, dtype=np.int64), np.array(rho_list, dtype=np.int64)
+    nums = numerators_1d(system, chunk)
+    num, _, _ = _closed_arc_scan(nums, np.ones(len(nums), dtype=np.int64), qs, rho)
+    # the scan refused N*q >= 2^63; below 2^53 both integers are exact
+    # floats, so the float quotient is the correctly rounded int / int
+    den = rho * qs
+    if den.max() < 2**53:
+        disc = (num / den).tolist()
+    else:
+        disc = [a / b for a, b in zip(num.tolist(), den.tolist())]
+    mass = [None] * len(chunk)
+    if reg:
+        ((lo, hi),) = reg
+        # clamped to [-1, q], where they count the same points and fit int64
+        lo_q = [min(max(math.ceil(lo * q), -1), q) for q in q_list]
+        hi_q = [min(max(math.floor(hi * q), -1), q) for q in q_list]
+        inside = (nums >= np.repeat(lo_q, rho)) & (nums <= np.repeat(hi_q, rho))
+        mass = np.add.reduceat(inside, np.cumsum(rho) - rho, dtype=np.int64).tolist()
+    return zip(q_list, rho_list, disc, mass, ["exact"] * len(chunk))
 
 
 def _auto_H(system, x):

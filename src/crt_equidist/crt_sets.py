@@ -1,6 +1,7 @@
 """Local residue systems, their CRT assembly, counting and hyperplane
 statistics, and enumeration of the supported moduli."""
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .modarith import INT64_LIMIT, factor_tuples, mod_inverse, prime_array, require_int64, spf_factor, spf_table
+from .modarith import INT64_LIMIT, factor_tuples, prime_array, require_int64, spf_factor, spf_table
 
 DEFAULT_SUPPORT = 2**62
 
@@ -154,34 +155,77 @@ def local_array(system, p, v=1):
     return np.array(system.local_set(p, v), dtype=np.int64).reshape(-1, system.dimension)
 
 
+def _stack_rows(sets, n):
+    """The rows of several local sets, one set after another, as an (L, n)
+    int64 array; flattened first, since np.array on tuples is several times
+    slower."""
+    rows = list(itertools.chain.from_iterable(sets))
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=n * len(rows)).reshape(-1, n)
+
+
+def _crt_fold(system, moduli):
+    """Assemble A_q for every (q, parts, ...) item at once, as one (T, n)
+    int64 array: the rows of each A_q in lexicographic order, the sets one
+    after another in the order of the items.
+
+    Each modulus reads its local sets in ascending p and stops at an empty
+    one. It starts from its set at the largest p^v, and step j joins the
+    next set of every modulus that has one; the other moduli join the
+    trivial set {0} mod 1, which keeps their rows. A join takes z = x
+    (mod m) and z = y (mod p^v) with p^v < m, so the digit is solved modulo
+    p^v: |y - x| < m and the inverse is below p^v, so every product stays
+    below m * p^v <= q < 2^63."""
+    n = system.dimension
+    joins = []
+    for q, parts, *_ in moduli:
+        require_int64(q, "modulus q")
+        sets = []
+        for p, v in parts:
+            local = system.local_set(p, v)
+            if not local:
+                # a set mod 1 that no row survives
+                sets = [(1, local)]
+                break
+            sets.append((p**v, local))
+        # A_1 is the zero row mod 1
+        joins.append(sorted(sets, key=lambda item: item[0], reverse=True) or [(1, ((0,) * n,))])
+    count = len(joins)
+    m = [sets[0][0] for sets in joins]
+    arr = _stack_rows([sets[0][1] for sets in joins], n)
+    seg = np.arange(count).repeat([len(sets[0][1]) for sets in joins])
+    for step in range(1, max(map(len, joins), default=0)):
+        # per modulus: set size, offset of its rows, p^v and the inverse of m
+        # mod p^v; the other moduli read the zero row appended last, mod 1,
+        # where the inverse is 0
+        sizes, off, pv, inv = [1] * count, [-1] * count, [1] * count, [0] * count
+        step_sets, total = [], 0
+        for i, sets in enumerate(joins):
+            if step < len(sets):
+                pv[i], local = sets[step]
+                sizes[i], off[i], inv[i] = len(local), total, pow(m[i], -1, pv[i])
+                step_sets.append(local)
+                total += len(local)
+        locs = _stack_rows(step_sets + [((0,) * n,)], n)
+        table = np.array((sizes, off, pv, inv, m), dtype=np.int64)
+        # row r of a modulus meets every local row of that modulus; k counts
+        # the copies of each old row
+        rep = table[0, seg]
+        ends = rep.cumsum()
+        seg = seg.repeat(rep)
+        k = np.arange(len(seg)) - (ends - rep).repeat(rep)
+        _, off, pv, inv, mod = table[:, seg, None]
+        x = arr.repeat(rep, axis=0)
+        arr = x + mod * ((locs[off[:, 0] + k] - x) * inv % pv)
+        m = (table[4] * table[2]).tolist()
+    return arr[np.lexsort((*arr.T[::-1], seg))]
+
+
 def residue_set(system, q, parts=None):
     """Assemble A_q from the local sets at the prime powers dividing q, as
-    one int64 array. `parts`, when given, are the (p, v) pairs of q.
-
-    Each CRT step joins x mod m with y mod p^v, solving for the digit
-    modulo the smaller of the two moduli, so every product stays below
-    m * p^v <= q < 2^63."""
+    one int64 array. `parts`, when given, are the (p, v) pairs of q."""
     require_int64(q, "modulus q")
-    n = system.dimension
     parts = tuple(factor_tuples(q) if parts is None else parts)
-    arr = np.zeros((1, n), dtype=np.int64)
-    m = 1
-    for p, v in parts:
-        local, pv = local_array(system, p, v), p**v
-        # every row z of the join has z = x (mod m) and z = y (mod pv); the
-        # difference is below the larger modulus, the inverse below the other
-        x, y = arr[:, None, :], local[None, :, :]
-        if m == 1 or len(local) == 0:
-            arr = local
-        elif pv <= m:
-            arr = (x + m * ((y - x) * mod_inverse(m, pv) % pv)).reshape(-1, n)
-        else:
-            arr = (y + pv * ((x - y) * mod_inverse(pv, m) % m)).reshape(-1, n)
-        if len(arr) == 0:
-            break
-        m *= pv
-    if len(parts) > 1:
-        arr = np.sort(arr, axis=0) if n == 1 else arr[np.lexsort(arr.T[::-1])]
+    arr = _crt_fold(system, [(q, parts)])
     arr.setflags(write=False)
     return ResidueSet(q, parts, arr)
 
@@ -330,18 +374,29 @@ def _iter_supported(system, x, k):
         return
     spf = spf_table(x)
     # the primes are the q with spf[q] = q
-    system.prefill(np.flatnonzero(spf[2:] == np.arange(2, x + 1)) + 2)
-    for q in range(2, x + 1):
+    primes = np.flatnonzero(spf[2:] == np.arange(2, x + 1)) + 2
+    system.prefill(primes)
+    # clear the q that an empty prime power divides exactly, so that only
+    # the supported q are factored; every p^v <= x is visited once, in
+    # ascending order, so a refusal names the smallest p^v beyond the
+    # support limit
+    supported = np.ones(x + 1, dtype=bool)
+    supported[:2] = False
+    small = primes[: np.searchsorted(primes, math.isqrt(x), side="right")].tolist()
+    higher = {p**v: (p, v) for p in small for v in range(2, x.bit_length()) if p**v <= x}
+    for pv in np.sort(np.concatenate([primes, np.array(list(higher), dtype=np.int64)])).tolist():
+        p, v = higher.get(pv, (pv, 1))
+        if system.local_size(p, v) == 0:
+            if pv * p > x:
+                # no multiple of p^(v+1) is in range
+                supported[pv::pv] = False
+            else:
+                multiples = np.arange(pv, x + 1, pv)
+                supported[multiples[multiples % (pv * p) != 0]] = False
+    for q in np.flatnonzero(supported).tolist():
         parts = tuple(spf_factor(q, spf))
-        if k is not None and len(parts) != k:
-            continue
-        rho = 1
-        for p, v in parts:
-            rho *= system.local_size(p, v)
-            if rho == 0:
-                break
-        if rho:
-            yield q, parts, rho
+        if k is None or len(parts) == k:
+            yield q, parts, math.prod(system.local_size(p, v) for p, v in parts)
 
 
 def supported_moduli(system, x, k=None):
@@ -367,12 +422,13 @@ def prime_support_stat(system, x):
     return (total, total / x)
 
 
-def numerators_1d(system, q, parts=None):
-    """Sorted int64 numerators of A_q for a 1-dimensional system: a view of
-    the `residue_set` array."""
+def numerators_1d(system, moduli):
+    """The sorted int64 numerators of A_q for each (q, parts, rho) item of a
+    1-dimensional system, concatenated into one flat array, where A_q
+    takes rho entries: one CRT fold for all of them."""
     if system.dimension != 1:
         raise ValueError("numerators_1d requires a 1-dimensional system")
-    return residue_set(system, q, parts).array[:, 0]
+    return _crt_fold(system, moduli)[:, 0]
 
 
 def load_local_system(path, dimension=None, support_limit=None, name=None):

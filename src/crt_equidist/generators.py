@@ -324,7 +324,8 @@ def roots_mod_primes(f, primes):
     prime, and on Python-int rows past that, so every prime is served
     exactly; ascending primes switch only in the trailing blocks. This is
     the package's only root finder mod p. Refuses a prime modulo which f
-    vanishes (the smallest one)."""
+    vanishes (the smallest one), and a prime past the int64 range."""
+    require_int64(max(primes, default=0), "prime p")
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size == 0:
         return []

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crt_equidist import analysis
 from crt_equidist.analysis import (
+    NoSupportedModuliError,
     _closed_arc_scan,
     aggregate_stats,
     box_discrepancy,
@@ -28,8 +30,11 @@ from crt_equidist.crt_sets import (
     TorusPointSet,
     fractional_points,
     hyperplane_max_local,
+    iter_supported,
+    load_local_system,
     prime_support_stat,
     residue_set,
+    supported_moduli,
 )
 from crt_equidist.generators import IntPolynomial, full_system, graph_system, initial_segment_system, roots_system
 from crt_equidist.modarith import sieve_primes
@@ -403,7 +408,7 @@ def test_interval_disc_refuses_at_int64_limit(case):
     with pytest.raises(ValueError, match=r"2\^63"):
         interval_discrepancy(torus(nums, q))
     with pytest.raises(ValueError, match=r"2\^63"):
-        _closed_arc_scan(np.zeros(1, dtype=np.int64), np.array([len(nums)]), q)
+        _closed_arc_scan(np.zeros(1, dtype=np.int64), np.array([len(nums)]), np.array([q]), np.array([1]))
 
 
 @_BOUNDARY
@@ -714,3 +719,150 @@ def test_aggregate_2d_paths():
         want = box_discrepancy(fractional_points(residue_set(g, q))).value
         assert disc == pytest.approx(want, abs=1e-14)
     assert ex.disc_average <= st.disc_average + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched 1-D exact path against the per-modulus loop it replaced
+
+def _single_arc_scan(u, counts, q):
+    """The one-set arc scan that the segmented `_closed_arc_scan` replaced:
+    (numerator, start_index, end_index) over denominator N*q."""
+    N = int(counts.sum())
+    pref = np.cumsum(counts)
+    A = q * pref - N * u
+    B = A - q * counts
+    j = int(np.argmax(A))
+    i = int(np.argmin(B))
+    return int(A[j] - B[i]), i, j
+
+
+def _per_q_rows(system, x, k, region):
+    """The per-modulus loop of the 1-D exact path before batching: one
+    `residue_set` and one single-set scan per supported q; rows are
+    (q, rho, disc, mass_count)."""
+    rows = []
+    for q, parts, rho in iter_supported(system, x, k):
+        pts = residue_set(system, q, parts).array
+        num, _, _ = _single_arc_scan(pts[:, 0], np.ones(len(pts), dtype=np.int64), q)
+        mass_count = None
+        if region:
+            lo, hi = region
+            mass_count = int(((pts[:, 0] >= math.ceil(lo * q)) & (pts[:, 0] <= math.floor(hi * q))).sum())
+        rows.append((q, rho, num / (len(pts) * q), mass_count))
+    return rows
+
+
+def _averages(rows, weighting, region):
+    """(disc_average, region_mass) of per-q rows, as `aggregate_stats` forms them."""
+    if weighting == "uniform":
+        disc = math.fsum(r[2] for r in rows) / len(rows)
+        return disc, math.fsum(r[3] / r[1] for r in rows) / len(rows) if region else None
+    total = sum(r[1] for r in rows)
+    return math.fsum(r[1] * r[2] for r in rows) / total, sum(r[3] for r in rows) / total if region else None
+
+
+def test_segmented_arc_scan_equals_single_scans():
+    rng = random.Random(4242)
+    for trial in range(40):
+        moduli, lengths, us, counts, want = [], [], [], [], []
+        for _ in range(rng.randrange(1, 30)):
+            q = rng.choice((1, 2, 7, rng.randrange(2, 10**6), rng.randrange(2, 2**40)))
+            u = sorted(rng.sample(range(q), rng.randrange(1, min(q, 12) + 1)))
+            c = [rng.randrange(1, 5) for _ in u]
+            want.append(_single_arc_scan(np.array(u), np.array(c), q))
+            moduli.append(q)
+            lengths.append(len(u))
+            us += u
+            counts += c
+        nums, starts, ends = _closed_arc_scan(np.array(us), np.array(counts), np.array(moduli), np.array(lengths))
+        assert list(zip(nums.tolist(), starts.tolist(), ends.tolist())) == want, trial
+
+
+def test_batched_1d_path_equals_the_per_q_loop(monkeypatch):
+    rng = random.Random(5150)
+    cases = [(sys_from_dict(1, random_local_sets(rng, 1, x_max)), x_max) for x_max in (60, 700, 2000)]
+    # empty sets at 2 and 3 beside nonempty ones at 4, 8 and 9
+    odd = {2: (), 4: {(1,), (3,)}, 8: {(5,)}, 3: (), 9: {(2,), (4,), (8,)}, 5: {(0,), (4,)}, 7: {(3,)}}
+    cases += [(sys_from_dict(1, odd), 200), (roots_system(X2P1), 2000), (initial_segment_system(), 600),
+              (full_system(1), 150)]
+    region = (Fraction(1, 3), Fraction(5, 7))
+    for s, x_max in cases:
+        for x in (0, 1, 2, x_max):
+            for k, reg in ((None, None), (None, region), (1, region), (2, None)):
+                rows = _per_q_rows(s, x, k, reg)
+                # small budgets put chunk boundaries inside every x and give
+                # the larger sets chunks of their own
+                for budget in (1 << 11, 16):
+                    monkeypatch.setattr(analysis, "_POINT_BUDGET", budget)
+                    for weighting in ("uniform", "rho"):
+                        if not rows:
+                            with pytest.raises(NoSupportedModuliError):
+                                aggregate_stats(s, x, weighting=weighting, k=k, region=reg)
+                            continue
+                        st = aggregate_stats(s, x, weighting=weighting, k=k, region=reg, include_per_q=True)
+                        assert st.per_q == tuple(r[:3] for r in rows), (x, k, budget)
+                        assert (st.disc_average, st.region_mass) == _averages(rows, weighting, reg), (x, k, budget)
+                        assert st.point_total == sum(r[1] for r in rows)
+                        assert st.modulus_count == len(rows)
+
+
+def test_batched_1d_path_exact_for_large_moduli():
+    # the fold needs only coprime moduli, so P need not be prime
+    P = 2**55 + 5
+    parts = ((3, 1), (P, 1))
+    # N*q >= 2^53: the float quotient of the rounded integers differs here
+    # from the correctly rounded int / int
+    rounding = {3: {(1,)}, P: {(4547325674830788,), (8496936760652860,)}}
+    # 86 points ahead of this set: prefix counts over the whole chunk would
+    # take q * pref across 2^63
+    wrapping = {3: {(1,)}, P: {(a,) for a in (6508960630070922, 9603974122661339, 20302784294350929,
+                                             25050202667127401, 29508791916836470)}}
+    for sets, ahead in ((rounding, 1), (wrapping, 86)):
+        s = sys_from_dict(1, sets)
+        chunk = [(3, ((3, 1),), 1)] * ahead + [(3 * P, parts, len(sets[P]))]
+        rows = list(analysis._exact_1d_rows(s, chunk, ((Fraction(0), Fraction(1, 2)),)))
+        for (q, parts, rho), row in zip(chunk[-2:], rows[-2:]):
+            pts = residue_set(s, q, parts).array[:, 0]
+            num, _, _ = _single_arc_scan(pts, np.ones(rho, dtype=np.int64), q)
+            assert row == (q, rho, num / (rho * q), int((2 * pts <= q).sum()), "exact")
+        if sets is rounding:
+            assert (np.array([num]) / np.array([2 * 3 * P]))[0] != num / (2 * 3 * P)
+
+
+def test_batched_1d_path_scans_once_per_chunk(monkeypatch):
+    # a chunk closes before the item that would take it past the budget
+    items = [(q, (), rho) for q, rho in enumerate((1, 5, 3000, 2, 2, 2040, 8, 1), 1)]
+    assert analysis._POINT_BUDGET == 2048
+    assert [[q for q, _, _ in chunk] for chunk in analysis._point_chunks(iter(items))] == [
+        [1, 2], [3], [4, 5, 6], [7, 8]
+    ]
+    calls = {"scan": 0, "fold": 0}
+    real_scan, real_fold = analysis._closed_arc_scan, analysis.numerators_1d
+
+    def counting_scan(*args):
+        calls["scan"] += 1
+        return real_scan(*args)
+
+    def counting_fold(*args):
+        calls["fold"] += 1
+        return real_fold(*args)
+
+    monkeypatch.setattr(analysis, "_closed_arc_scan", counting_scan)
+    monkeypatch.setattr(analysis, "numerators_1d", counting_fold)
+    s = roots_system(X2P1)
+    st = aggregate_stats(s, 20000)
+    chunks = sum(1 for _ in analysis._point_chunks(iter_supported(s, 20000)))
+    assert calls == {"scan": chunks, "fold": chunks}
+    assert chunks <= st.point_total // analysis._POINT_BUDGET + 2
+    assert st.modulus_count > 100 * chunks
+
+
+def test_sweep_past_support_limit_names_the_smallest_prime_power(tmp_path):
+    path = tmp_path / "system.txt"
+    path.write_text("2 1 1\n3 1 1\n3 1 2\n2 2 3\n5 1 0\n7 1 3\n", encoding="utf-8")
+    # the support limit is 7, the largest prime power in the file
+    assert aggregate_stats(load_local_system(path), 7).modulus_count == 7
+    for x in (8, 30):
+        for run in (aggregate_stats, supported_moduli):
+            with pytest.raises(ValueError, match=r"^prime power 2\^3 = 8 beyond support limit 7$"):
+                run(load_local_system(path), x)

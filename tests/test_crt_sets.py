@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crt_equidist import crt_sets
 from crt_equidist.crt_sets import (
     LocalSystem,
     TorusPointSet,
@@ -48,6 +49,21 @@ def test_residue_set_worked_example(six_system):
     assert rs.points == ((1,), (5,))
     assert rs.size == 2
     assert point_count(six_system, 6) == 2
+
+
+def test_iter_supported_factors_only_supported_moduli(monkeypatch):
+    factored = []
+    real = crt_sets.spf_factor
+
+    def counting_factor(q, spf):
+        factored.append(q)
+        return real(q, spf)
+
+    monkeypatch.setattr(crt_sets, "spf_factor", counting_factor)
+    got = [q for q, _, _ in iter_supported(roots_system(IntPolynomial((1, 0, 1))), 5000)]
+    # q = 1 needs no factoring; the unsupported q are never factored
+    assert factored == got[1:]
+    assert len(got) < 5000 // 4
 
 
 def test_residue_set_trivia(six_system):
@@ -100,8 +116,26 @@ def test_residue_set_brute_force_1d():
         assert {x[0] for x in rs.points} == want
         assert rs.size == len(want)
         assert point_count(s, q) == len(want)
-        nums = numerators_1d(s, q)
+        nums = numerators_1d(s, [(q, rs.factorization, rs.size)])
         assert sorted(nums.tolist()) == sorted(want)
+
+
+def test_numerators_1d_chunks_vs_brute_force():
+    rng = random.Random(303)
+    sets = random_local_sets(rng, 1, 400)
+    # an empty set at p beside nonempty ones at p^2 and p^3
+    sets.update({3: frozenset(), 9: frozenset({(4,), (7,)}), 27: frozenset({(2,)})})
+    s = sys_from_dict(1, sets)
+    want = {q: sorted(brute_residue_set_1d(sets, q)) if q > 1 else [0] for q in range(1, 401)}
+    # every q, so some A_q are empty and take no entries
+    items = [(q, tuple(trial_factorize(q)), len(want[q])) for q in range(1, 401)]
+    for size in (1, 3, 50, len(items)):
+        for start in range(0, len(items), size):
+            chunk = items[start : start + size]
+            nums = numerators_1d(s, chunk).tolist()
+            assert nums == [a for q, _, _ in chunk for a in want[q]]
+    with pytest.raises(ValueError, match="1-dimensional"):
+        numerators_1d(sys_from_dict(2, {}), [(1, (), 1)])
 
 
 def test_residue_set_brute_force_2d():
@@ -132,7 +166,7 @@ def test_residue_set_no_int64_overflow():
     s = sys_from_dict(1, sets)
     want = crt_rows(sets, (7, P))
     assert list(residue_set(s, 7 * P).points) == want
-    assert numerators_1d(s, 7 * P).tolist() == [a for (a,) in want]
+    assert numerators_1d(s, [(7 * P, ((7, 1), (P, 1)), 4)]).tolist() == [a for (a,) in want]
 
 
 def test_residue_set_large_moduli_vs_crt_combine():
@@ -308,6 +342,13 @@ def test_iter_supported_vs_trial_division():
                     if rho and (k is None or len(parts) == k):
                         want.append((q, parts, rho))
                 assert list(iter_supported(s, x, k)) == want, (trial, x, k)
+    # an empty set at p with a nonempty one at p^2: only the q that p divides
+    # exactly are unsupported
+    s = sys_from_dict(1, {2: {(1,)}, 3: set(), 9: {(2,), (5,)}, 5: {(0,)}})
+    assert list(iter_supported(s, 20)) == [
+        (1, (), 1), (2, ((2, 1),), 1), (5, ((5, 1),), 1), (9, ((3, 2),), 2), (10, ((2, 1), (5, 1)), 1),
+        (18, ((2, 1), (3, 2)), 2),
+    ]
     assert list(iter_supported(full_system(1), 1)) == [(1, (), 1)]
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):

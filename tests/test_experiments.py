@@ -321,14 +321,15 @@ def test_counterexample_one_scan_per_modulus(monkeypatch):
     scans = []
     real_scan = analysis._closed_arc_scan
 
-    def counting_scan(u, counts, q):
-        scans.append(q)
-        return real_scan(u, counts, q)
+    def counting_scan(u, counts, moduli, lengths):
+        scans.extend(moduli.tolist())
+        return real_scan(u, counts, moduli, lengths)
 
     monkeypatch.setattr(analysis, "_closed_arc_scan", counting_scan)
     report = counterexample_contrast(ExperimentConfig(ladder=(2000,), epsilon="1/4"))
     row = dict(zip(report.columns, report.rows[0]))
-    assert len(scans) == row["moduli"]
+    # one scanned segment per modulus
+    assert len(scans) == len(set(scans)) == row["moduli"]
     # the per-modulus values of the one pass give the uniform average
     monkeypatch.undo()
     uniform = analysis.aggregate_stats(initial_segment_system(), 2000, weighting="uniform")

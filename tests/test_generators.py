@@ -577,6 +577,9 @@ def test_roots_mod_primes_int64_limit():
     assert roots_mod_primes(quartic, [p]) == [tuple(sorted({1, 5, 2**20, p - 3}))]
     past = _next_prime(top + 1)
     assert roots_mod_primes(quartic, [p, past]) == [tuple(_split_roots(quartic, r)) for r in (p, past)]
+    # a prime past int64 is refused by name, not by numpy's OverflowError
+    with pytest.raises(ValueError, match=r"prime p = 9223372036854775833 is at least 2\^63"):
+        roots_mod_primes(IntPolynomial((1, 0, 1)), [13, 2**63 + 25])
 
 
 def _times(f, g):
