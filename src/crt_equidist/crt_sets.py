@@ -188,12 +188,12 @@ def _crt_fold(system, moduli):
                 break
             sets.append((p**v, local))
         # A_1 is the zero row mod 1
-        joins.append(sorted(sets, key=lambda item: item[0], reverse=True) or [(1, ((0,) * n,))])
-    count = len(joins)
+        joins.append(sorted(sets, reverse=True) or [(1, ((0,) * n,))])
+    count, steps = len(joins), max(map(len, joins), default=0)
     m = [sets[0][0] for sets in joins]
     arr = _stack_rows([sets[0][1] for sets in joins], n)
     seg = np.arange(count).repeat([len(sets[0][1]) for sets in joins])
-    for step in range(1, max(map(len, joins), default=0)):
+    for step in range(1, steps):
         # per modulus: set size, offset of its rows, p^v and the inverse of m
         # mod p^v; the other moduli read the zero row appended last, mod 1,
         # where the inverse is 0
@@ -217,7 +217,8 @@ def _crt_fold(system, moduli):
         x = arr.repeat(rep, axis=0)
         arr = x + mod * ((locs[off[:, 0] + k] - x) * inv % pv)
         m = (table[4] * table[2]).tolist()
-    return arr[np.lexsort((*arr.T[::-1], seg))]
+    # a single local set is sorted already
+    return arr[np.lexsort((*arr.T[::-1], seg))] if steps > 1 else arr
 
 
 def residue_set(system, q, parts=None):
