@@ -90,6 +90,9 @@ def test_support_limit_error_names_prime_power():
     s = LocalSystem(1, lambda p, v: {(0,)}, support_limit=10)
     with pytest.raises(ValueError, match="11"):
         residue_set(s, 11)
+    # an empty set at 2 ends the assembly of A_22 before the set at 11 is read
+    s = LocalSystem(1, lambda p, v: () if p == 2 else {(0,)}, support_limit=10)
+    assert residue_set(s, 22).size == 0
 
 
 def test_rule_materialized_once():
