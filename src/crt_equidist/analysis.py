@@ -606,13 +606,8 @@ def _exact_1d_rows(system, chunk, reg):
     qs, rho = np.array(q_list, dtype=np.int64), np.array(rho_list, dtype=np.int64)
     nums = numerators_1d(system, chunk)
     num, _, _ = _closed_arc_scan(nums, np.ones(len(nums), dtype=np.int64), qs, rho)
-    # the scan refused N*q >= 2^63; below 2^53 both integers are exact
-    # floats, so the float quotient is the correctly rounded int / int
-    den = rho * qs
-    if den.max() < 2**53:
-        disc = (num / den).tolist()
-    else:
-        disc = [a / b for a, b in zip(num.tolist(), den.tolist())]
+    # the scan refused N*q >= 2^63; int / int is correctly rounded
+    disc = [a / b for a, b in zip(num.tolist(), (rho * qs).tolist())]
     mass = [None] * len(chunk)
     if reg:
         ((lo, hi),) = reg

@@ -377,23 +377,34 @@ def _iter_supported(system, x, k):
     # the primes are the q with spf[q] = q
     primes = np.flatnonzero(spf[2:] == np.arange(2, x + 1)) + 2
     system.prefill(primes)
-    # clear the q that an empty prime power divides exactly, so that only
-    # the supported q are factored; every p^v <= x is visited once, in
-    # ascending order, so a refusal names the smallest p^v beyond the
-    # support limit
+    # every p^v <= x, and the smallest q with k distinct prime factors that
+    # p^v divides exactly: p^v times the k - 1 smallest other primes (p^v
+    # itself without k)
+    small = primes[: np.searchsorted(primes, math.isqrt(x), side="right")].tolist()
+    higher = [(p, v) for p in small for v in range(2, x.bit_length()) if p**v <= x]
+    ps = np.concatenate([primes, np.array([p for p, _ in higher], dtype=np.int64)])
+    vs = np.concatenate([np.ones_like(primes), np.array([v for _, v in higher], dtype=np.int64)])
+    pvs = least = ps**vs
+    if k is not None and k > 1:
+        head = primes[:k].tolist()
+        if len(head) < k or math.prod(head) > x:
+            return
+        least = pvs * np.where(np.isin(ps, head[:-1]), math.prod(head) // ps, math.prod(head[:-1]))
+    # read the local sets in that order, as a loop over ascending q would, so
+    # that a refusal names the prime power such a loop meets first; clear the
+    # q that an empty p^v divides exactly, so that only the supported q are
+    # factored
     supported = np.ones(x + 1, dtype=bool)
     supported[:2] = False
-    small = primes[: np.searchsorted(primes, math.isqrt(x), side="right")].tolist()
-    higher = {p**v: (p, v) for p in small for v in range(2, x.bit_length()) if p**v <= x}
-    for pv in np.sort(np.concatenate([primes, np.array(list(higher), dtype=np.int64)])).tolist():
-        p, v = higher.get(pv, (pv, 1))
+    order = np.lexsort((ps, least))
+    for p, v, pv, q in zip(*(a[order].tolist() for a in (ps, vs, pvs, least))):
+        if q > x:
+            break
         if system.local_size(p, v) == 0:
-            if pv * p > x:
-                # no multiple of p^(v+1) is in range
-                supported[pv::pv] = False
-            else:
-                multiples = np.arange(pv, x + 1, pv)
-                supported[multiples[multiples % (pv * p) != 0]] = False
+            # clear the multiples of p^v, then restore those of p^(v+1)
+            keep = supported[pv * p :: pv * p].copy()
+            supported[pv::pv] = False
+            supported[pv * p :: pv * p] = keep
     for q in np.flatnonzero(supported).tolist():
         parts = tuple(spf_factor(q, spf))
         if k is None or len(parts) == k:

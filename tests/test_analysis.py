@@ -866,3 +866,5 @@ def test_sweep_past_support_limit_names_the_smallest_prime_power(tmp_path):
         for run in (aggregate_stats, supported_moduli):
             with pytest.raises(ValueError, match=r"^prime power 2\^3 = 8 beyond support limit 7$"):
                 run(load_local_system(path), x)
+    # with k = 2 no q <= 8 needs the set at 2^3
+    assert aggregate_stats(load_local_system(path), 8, k=2).modulus_count == 1

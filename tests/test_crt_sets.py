@@ -353,9 +353,46 @@ def test_iter_supported_vs_trial_division():
         (18, ((2, 1), (3, 2)), 2),
     ]
     assert list(iter_supported(full_system(1), 1)) == [(1, (), 1)]
+    # k-restricted: the k smallest primes multiply past x
+    assert list(iter_supported(full_system(1), 29, 3)) == []
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             iter_supported(full_system(1), 10, k)
+
+
+def test_iter_supported_refuses_where_the_per_q_loop_does():
+    def per_q(s, x, k):
+        # read the local sets of each q with k parts in ascending p
+        out = [(1, (), 1)] if k is None and x >= 1 else []
+        for q in range(2, x + 1):
+            parts = tuple(trial_factorize(q))
+            if k is None or len(parts) == k:
+                rho = math.prod(s.local_size(p, v) for p, v in parts)
+                if rho:
+                    out.append((q, parts, rho))
+        return out
+
+    def outcome(run, *args):
+        try:
+            return run(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    # every set within the limit is nonempty, so the per-q loop reads every
+    # p^v of every q with k parts
+    rng = random.Random(67)
+    for trial in range(60):
+        limit, x = rng.randrange(2, 200), rng.randrange(0, 400)
+        for k in (None, 1, 2, 3):
+            want = outcome(per_q, LocalSystem(1, lambda p, v: {(0,), (1,)}, support_limit=limit), x, k)
+            s = LocalSystem(1, lambda p, v: {(0,), (1,)}, support_limit=limit)
+            assert outcome(lambda: list(iter_supported(s, x, k))) == want, (limit, x, k)
+    # no q <= 8 with two prime factors has 2^3 or 3^2; q = 18 = 2 * 3^2
+    # comes before q = 24 = 2^3 * 3
+    s = LocalSystem(1, lambda p, v: {(0,)}, support_limit=7)
+    assert [q for q, _, _ in iter_supported(s, 8, 2)] == [6]
+    with pytest.raises(ValueError, match=r"^prime power 3\^2 = 9 beyond support limit 7$"):
+        list(iter_supported(s, 30, 2))
 
 
 def test_fractional_points(six_system):
