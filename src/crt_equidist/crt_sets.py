@@ -1,7 +1,6 @@
 """Local residue systems, their CRT assembly, counting and hyperplane
 statistics, and enumeration of the supported moduli."""
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -10,17 +9,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .modarith import INT64_LIMIT, factor_tuples, prime_array, require_int64, spf_factor, spf_table
+from .modarith import INT64_LIMIT, PrimePower, factor_tuples, prime_array, require_int64, spf_factor, spf_table
 
 DEFAULT_SUPPORT = 2**62
 
 
 class LocalSystem:
-    """A rule assigning to each prime power p^v a finite set of residue
-    tuples mod p^v. Materialized sets are cached; the rule must be
-    deterministic. `size_rule`, when given, answers cardinality queries
+    """A deterministic rule assigning to each prime power p^v < 2^63 a
+    finite set of residue tuples mod p^v: a `range`, a 1-D or (L, n) integer
+    array, or an iterable of ints (n = 1) or tuples, duplicates allowed. Each
+    set is cached as a read-only (L, n) int64 array of distinct rows in
+    lexicographic order. `size_rule`, when given, answers cardinality queries
     without materializing the set. `bulk_rule`, when given, maps an int64
-    array of primes to their sets at v = 1 in one call (see `prefill`).
+    array of primes to the list of their sets at v = 1 (see `prefill`).
     Local hyperplane maxima and `local_profile` results are cached too,
     under the same lock."""
 
@@ -42,55 +43,88 @@ class LocalSystem:
         return f"LocalSystem(n={self.dimension}, name={self.name!r})"
 
     def _check_support(self, p, v):
-        value = p**v
-        if value > self.support_limit:
-            raise ValueError(f"prime power {p}^{v} = {value} beyond support limit {self.support_limit}")
-        return value
+        if p**v > self.support_limit:
+            raise ValueError(f"prime power {p}^{v} = {p**v} beyond support limit {self.support_limit}")
 
-    def _store(self, p, v, value, raw):
-        """Check the points a rule gave for p^v (= value), cache them as a
-        sorted tuple of coordinate tuples and return the cached tuple."""
-        pts = set()
-        for item in raw:
-            t = (item,) if isinstance(item, int) else tuple(item)
-            if len(t) != self.dimension:
-                raise ValueError(f"tuple {t} has wrong dimension for n={self.dimension}")
-            if any(c < 0 or c >= value for c in t):
-                raise ValueError(f"coordinates of {t} not canonical mod {p}^{v}")
-            pts.add(t)
-        norm = tuple(sorted(pts))
+    def _store(self, keys, raws):
+        """Check the sets the rule gave for the (p, v) of `keys` in one
+        vectorized pass, each row tagged with the index of its key; cache
+        them as read-only arrays of distinct sorted rows and return those."""
+        n = self.dimension
+        for p, v in keys:
+            require_int64(p**v, f"prime power {p}^{v}")
+        values = np.array([p**v for p, v in keys], dtype=np.int64)
+        blocks, segs, loose, loose_seg = [], [], [], []
+        for i, raw in zip(range(len(keys)), raws, strict=True):
+            if isinstance(raw, range):
+                # np.arange takes int64 bounds only, so a range with an end
+                # outside [0, p^v) goes on as the list of its ends
+                fits = not raw or 0 <= min(raw) <= max(raw) < values[i]
+                raw = np.arange(raw.start, raw.stop, raw.step, dtype=np.int64) if fits else [min(raw), max(raw)]
+            if isinstance(raw, np.ndarray) and raw.dtype == np.int64:
+                blocks.append(raw)
+                segs.append(np.full(len(raw), i))
+            else:
+                items = raw.tolist() if isinstance(raw, np.ndarray) else list(raw)
+                loose += items
+                loose_seg += [i] * len(items)
+        try:
+            blocks.append(np.array(loose, dtype=np.int64))
+        except (ValueError, TypeError, OverflowError):
+            # mixed ints and tuples, ragged tuples or coordinates past int64
+            tuples = [(c,) if isinstance(c, int) else tuple(c) for c in loose]
+            for t, i in zip(tuples, loose_seg):
+                if len(t) != n:
+                    raise ValueError(f"tuple {t} has wrong dimension for n={n}") from None
+                if not all(0 <= c < values[i] for c in t):
+                    raise ValueError(f"coordinates of {t} not canonical mod {keys[i][0]}^{keys[i][1]}") from None
+            blocks.append(np.array(tuples, dtype=np.int64))
+        segs.append(np.array(loose_seg, dtype=np.int64))
+        blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
+        for b in blocks:
+            if len(b) and (b.ndim != 2 or b.shape[1] != n):
+                raise ValueError(f"tuple {tuple(b[0].tolist())} has wrong dimension for n={n}")
+        rows, seg = np.concatenate([b.reshape(-1, n) for b in blocks]), np.concatenate(segs)
+        order = np.lexsort((*rows.T[::-1], seg))
+        rows, seg = rows[order], seg[order]
+        bad = ((rows < 0) | (rows >= values[seg, None])).any(axis=1)
+        if bad.any():
+            j = bad.argmax()
+            p, v = keys[seg[j]]
+            raise ValueError(f"coordinates of {tuple(rows[j].tolist())} not canonical mod {p}^{v}")
+        # a row equal to its predecessor in the same set is a duplicate
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (seg[1:] != seg[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
+        rows, seg = rows[keep], seg[keep]
+        rows.setflags(write=False)
+        ends = np.bincount(seg, minlength=len(keys)).cumsum().tolist()
         with self._lock:
-            return self._cache.setdefault((p, v), norm)
+            return [self._cache.setdefault(key, rows[a:b]) for key, a, b in zip(keys, [0] + ends, ends)]
 
     def local_set(self, p, v=1):
-        """The set for p^v as a sorted tuple of coordinate tuples."""
+        """The set for p^v: a read-only (L, n) int64 array, rows distinct and sorted."""
         got = self._cache.get((p, v))
         if got is not None:
             return got
-        value = self._check_support(p, v)
-        return self._store(p, v, value, self.rule(p, v))
+        self._check_support(p, v)
+        return self._store([(p, v)], [self.rule(p, v)])[0]
 
     def prefill(self, primes):
-        """Cache the sets at v = 1 of those primes that are not cached yet,
-        from one call of the bulk rule; without one, do nothing."""
+        """Cache the sets at v = 1 of the primes not cached yet, from one call
+        of the bulk rule and one `_store` pass; without a bulk rule, do nothing."""
         if self.bulk_rule is None:
             return
         todo = [p for p in np.asarray(primes, dtype=np.int64).tolist() if (p, 1) not in self._cache]
         for p in todo:
             self._check_support(p, 1)
         if todo:
-            for p, raw in zip(todo, self.bulk_rule(np.array(todo, dtype=np.int64))):
-                self._store(p, 1, p, raw)
+            self._store([(p, 1) for p in todo], self.bulk_rule(np.array(todo, dtype=np.int64)))
 
     def local_size(self, p, v=1):
-        if self.size_rule is not None:
-            key = (p, v)
-            got = self._cache.get(key)
-            if got is not None:
-                return len(got)
-            self._check_support(p, v)
-            return self.size_rule(p, v)
-        return len(self.local_set(p, v))
+        if self.size_rule is None or (p, v) in self._cache:
+            return len(self.local_set(p, v))
+        self._check_support(p, v)
+        return self.size_rule(p, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,19 +184,6 @@ class TorusPointSet:
         return tuple(map(tuple, self.array.tolist()))
 
 
-def local_array(system, p, v=1):
-    """The local set at p^v as an (L, n) int64 array, rows sorted."""
-    return np.array(system.local_set(p, v), dtype=np.int64).reshape(-1, system.dimension)
-
-
-def _stack_rows(sets, n):
-    """The rows of several local sets, one set after another, as an (L, n)
-    int64 array; flattened first, since np.array on tuples is several times
-    slower."""
-    rows = list(itertools.chain.from_iterable(sets))
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=n * len(rows)).reshape(-1, n)
-
-
 def _crt_fold(system, moduli):
     """Assemble A_q for every (q, parts, ...) item at once, as one (T, n)
     int64 array: the rows of each A_q in lexicographic order, the sets one
@@ -175,38 +196,34 @@ def _crt_fold(system, moduli):
     (mod m) and z = y (mod p^v) with p^v < m, so the digit is solved modulo
     p^v: |y - x| < m and the inverse is below p^v, so every product stays
     below m * p^v <= q < 2^63."""
-    n = system.dimension
+    zero = np.zeros((1, system.dimension), dtype=np.int64)
     joins = []
     for q, parts, *_ in moduli:
         require_int64(q, "modulus q")
         sets = []
         for p, v in parts:
             local = system.local_set(p, v)
-            if not local:
+            if len(local) == 0:
                 # a set mod 1 that no row survives
                 sets = [(1, local)]
                 break
             sets.append((p**v, local))
         # A_1 is the zero row mod 1
-        joins.append(sorted(sets, reverse=True) or [(1, ((0,) * n,))])
+        joins.append(sorted(sets, key=lambda s: s[0], reverse=True) or [(1, zero)])
     count, steps = len(joins), max(map(len, joins), default=0)
     m = [sets[0][0] for sets in joins]
-    arr = _stack_rows([sets[0][1] for sets in joins], n)
+    arr = np.concatenate([zero[:0]] + [sets[0][1] for sets in joins])
     seg = np.arange(count).repeat([len(sets[0][1]) for sets in joins])
     for step in range(1, steps):
         # per modulus: set size, offset of its rows, p^v and the inverse of m
-        # mod p^v; the other moduli read the zero row appended last, mod 1,
-        # where the inverse is 0
-        sizes, off, pv, inv = [1] * count, [-1] * count, [1] * count, [0] * count
-        step_sets, total = [], 0
-        for i, sets in enumerate(joins):
-            if step < len(sets):
-                pv[i], local = sets[step]
-                sizes[i], off[i], inv[i] = len(local), total, pow(m[i], -1, pv[i])
-                step_sets.append(local)
-                total += len(local)
-        locs = _stack_rows(step_sets + [((0,) * n,)], n)
-        table = np.array((sizes, off, pv, inv, m), dtype=np.int64)
+        # mod p^v; a modulus without a set at this step joins the zero row
+        # mod 1, where the inverse is 0
+        step_sets = [sets[step] if step < len(sets) else (1, zero) for sets in joins]
+        sizes = [len(local) for _, local in step_sets]
+        pv = [b for b, _ in step_sets]
+        inv = [pow(a, -1, b) for a, b in zip(m, pv)]
+        locs = np.concatenate([local for _, local in step_sets])
+        table = np.array((sizes, np.cumsum(sizes) - sizes, pv, inv, m), dtype=np.int64)
         # row r of a modulus meets every local row of that modulus; k counts
         # the copies of each old row
         rep = table[0, seg]
@@ -280,7 +297,7 @@ def _scan_hyperplane_max(system, p, v):
     n = system.dimension
     if n == 1 and v == 1:
         return 1 if system.local_size(p, 1) > 0 else 0
-    arr = local_array(system, p, v)
+    arr = system.local_set(p, v)
     if len(arr) <= 1:
         # a single point lies on a hyperplane and no hyperplane holds more
         return len(arr)
@@ -344,14 +361,10 @@ def local_profile(system, x):
         return got
     all_primes = prime_array(x)
     system.prefill(all_primes)
-    primes, rho, lam = [], [], []
-    for p in all_primes.tolist():
-        r = system.local_size(p, 1)
-        if r >= 1:
-            primes.append(p)
-            rho.append(r)
-            lam.append(hyperplane_max_local(system, p, 1) if system.dimension > 1 else 1)
-    profile = tuple(np.array(a, dtype=np.int64) for a in (primes, rho, lam))
+    rho = np.array([system.local_size(p, 1) for p in all_primes.tolist()], dtype=np.int64)
+    primes, rho = all_primes[rho > 0], rho[rho > 0]
+    lam = [hyperplane_max_local(system, p, 1) if system.dimension > 1 else 1 for p in primes.tolist()]
+    profile = (primes, rho, np.array(lam, dtype=np.int64))
     for a in profile:
         a.setflags(write=False)
     with system._lock:
@@ -466,15 +479,18 @@ def load_local_system(path, dimension=None, support_limit=None, name=None):
                 dim = len(coords)
             if len(coords) != dim:
                 raise ValueError(f"{path}:{lineno}: expected {dim} coordinates, got {len(coords)}")
-            pv = p**v
-            if any(c < 0 or c >= pv for c in coords):
+            if (p, v) not in entries:
+                try:
+                    PrimePower(p, v)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if any(c < 0 or c >= p**v for c in coords):
                 raise ValueError(f"{path}:{lineno}: coordinates not canonical mod {p}^{v}")
             entries.setdefault((p, v), set()).add(coords)
     if dim is None:
         raise ValueError(f"{path}: no data lines")
-    frozen = {key: tuple(sorted(val)) for key, val in entries.items()}
-    limit = support_limit if support_limit is not None else max((p**v for p, v in frozen), default=2)
-    return LocalSystem(dim, lambda p, v: frozen.get((p, v), ()), limit, name=name or str(path))
+    limit = support_limit if support_limit is not None else max((p**v for p, v in entries), default=2)
+    return LocalSystem(dim, lambda p, v: entries.get((p, v), ()), limit, name=name or str(path))
 
 
 def save_local_system(system, path, prime_powers):
@@ -482,5 +498,5 @@ def save_local_system(system, path, prime_powers):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# local system {system.name or ''}: n = {system.dimension}\n")
         for p, v in sorted(prime_powers, key=lambda t: (t[0] ** t[1], t[0])):
-            for t in system.local_set(p, v):
-                fh.write(f"{p} {v} {','.join(str(c) for c in t)}\n")
+            for t in system.local_set(p, v).tolist():
+                fh.write(f"{p} {v} {','.join(map(str, t))}\n")

@@ -20,7 +20,7 @@ from .analysis import (
     reciprocal_prime_sum,
     theorem_bound,
 )
-from .crt_sets import load_local_system, local_array, local_profile, prime_support_stat
+from .crt_sets import load_local_system, local_profile, prime_support_stat
 from .generators import (
     IntPolynomial,
     PseudoPoly,
@@ -497,23 +497,16 @@ def prime_weyl_averages(system, x, h_set):
     if pi_x == 0:
         raise ValueError(f"no primes up to {x}")
     system.prefill(primes)
-    supported = []
-    for p in primes:
-        arr = local_array(system, p)[:, 0]
-        if len(arr):
-            supported.append((p, arr))
+    supported = [(p, arr) for p in primes if len(arr := system.local_set(p)[:, 0])]
     if not supported:
         raise ValueError(f"no supported primes up to {x}")
     out = {}
+    rho = [len(arr) for _, arr in supported]
     for h in h_set:
-        re1, im1, re2, im2 = [], [], [], []
-        for p, arr in supported:
-            w = complex(np.exp((2j * np.pi / p) * ((h * arr) % p)).mean())
-            re1.append(w.real)
-            im1.append(w.imag)
-            re2.append(len(arr) * w.real)
-            im2.append(len(arr) * w.imag)
-        plain = complex(math.fsum(re1) / len(supported), math.fsum(im1) / len(supported))
-        weighted = complex(math.fsum(re2) / pi_x, math.fsum(im2) / pi_x)
+        ws = [complex(np.exp((2j * np.pi / p) * ((h * arr) % p)).mean()) for p, arr in supported]
+        plain = complex(math.fsum(w.real for w in ws) / len(ws), math.fsum(w.imag for w in ws) / len(ws))
+        weighted = complex(
+            math.fsum(r * w.real for r, w in zip(rho, ws)) / pi_x, math.fsum(r * w.imag for r, w in zip(rho, ws)) / pi_x
+        )
         out[int(h)] = (plain, weighted)
     return out, len(supported), pi_x

@@ -383,7 +383,7 @@ def roots_system(f):
     at p^v (v >= 2) is lifted from the system's own cached set at p."""
 
     def rule(p, v):
-        base = None if v == 1 else [a for (a,) in system.local_set(p)]
+        base = None if v == 1 else system.local_set(p)[:, 0].tolist()
         return poly_roots_mod_prime_power(f, p, v, base)
 
     system = LocalSystem(1, rule, name=f"roots({f})", bulk_rule=lambda primes: roots_mod_primes(f, primes))
@@ -397,7 +397,7 @@ def _root_map_system(dimension, f, point, name):
 
     def rule(p, v):
         pv = p**v
-        return [point(a, pv) for (a,) in roots.local_set(p, v)]
+        return [point(a, pv) for a in roots.local_set(p, v)[:, 0].tolist()]
 
     def bulk_rule(primes):
         roots.prefill(primes)
@@ -438,7 +438,7 @@ def bezout_system(f1, f2=None, budget=4_000_000):
         mask = f1.eval_grid(pv) == 0
         if f2 is not None:
             mask &= f2.eval_grid(pv) == 0
-        return [tuple(idx) for idx in np.argwhere(mask).tolist()]
+        return np.argwhere(mask)
 
     label = f"bezout({f1}; {f2})" if f2 is not None else f"bezout({f1})"
     return LocalSystem(2, rule, name=label)
@@ -524,9 +524,7 @@ def initial_segment_system():
     system pile up mass near 0 instead of equidistributing."""
 
     def rule(p, v):
-        if v >= 2:
-            return ()
-        return range(1, segment_length(p) + 1)
+        return range(1, segment_length(p) + 1) if v == 1 else ()
 
     return LocalSystem(1, rule, name="initial-segment", size_rule=lambda p, v: 0 if v >= 2 else segment_length(p))
 
@@ -535,14 +533,10 @@ def restrict_primes(system, predicate):
     """Same system with the sets at non-matching primes emptied."""
 
     def rule(p, v):
-        if not predicate(p):
-            return ()
-        return system.local_set(p, v)
+        return system.local_set(p, v) if predicate(p) else ()
 
     def size_rule(p, v):
-        if not predicate(p):
-            return 0
-        return system.local_size(p, v)
+        return system.local_size(p, v) if predicate(p) else 0
 
     return LocalSystem(
         system.dimension, rule, system.support_limit, name=f"restricted({system.name})", size_rule=size_rule
@@ -553,9 +547,6 @@ def full_system(dimension=1):
     """Every residue tuple at every prime power (the trivial system)."""
 
     def rule(p, v):
-        pv = p**v
-        if dimension == 1:
-            return range(pv)
-        return itertools.product(range(pv), repeat=dimension)
+        return np.indices((p**v,) * dimension).reshape(dimension, -1).T
 
     return LocalSystem(dimension, rule, name="full", size_rule=lambda p, v: (p**v) ** dimension)

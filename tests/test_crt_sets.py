@@ -426,15 +426,15 @@ def test_file_round_trip(tmp_path, six_system):
     save_local_system(six_system, path, [(2, 1), (3, 1)])
     loaded = load_local_system(path)
     assert loaded.dimension == 1
-    assert loaded.local_set(2, 1) == ((1,),)
-    assert loaded.local_set(3, 1) == ((1,), (2,))
+    assert loaded.local_set(2, 1).tolist() == [[1]]
+    assert loaded.local_set(3, 1).tolist() == [[1], [2]]
     assert residue_set(loaded, 6).points == ((1,), (5,))
     # support defaults to the largest listed power; beyond it is an error
     with pytest.raises(ValueError, match="support"):
         loaded.local_set(5, 1)
     # with an explicit limit, unlisted powers inside it are empty
     wide = load_local_system(path, support_limit=100)
-    assert wide.local_set(5, 1) == ()
+    assert wide.local_set(5, 1).tolist() == []
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -446,6 +446,15 @@ def test_load_rejects_malformed(tmp_path):
     off.write_text("2 1 5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="canonical"):
         load_local_system(off)
+    # a set at a non-prime or at v < 1 is refused, not silently ignored
+    composite = tmp_path / "composite.txt"
+    composite.write_text("4 1 3\n3 1 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="composite.txt:1: 4 is not prime"):
+        load_local_system(composite)
+    zero = tmp_path / "zero.txt"
+    zero.write_text("3 1 1\n3 0 0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="zero.txt:2: exponent must be >= 1"):
+        load_local_system(zero)
 
 
 def test_prefill_stores_the_local_sets():
@@ -453,11 +462,11 @@ def test_prefill_stores_the_local_sets():
     bulk = roots_system(f)
     single = LocalSystem(1, bulk.rule)
     primes = prime_array(3000)
-    assert bulk.local_set(7) == single.local_set(7)
+    assert bulk.local_set(7).tolist() == single.local_set(7).tolist()
     bulk.prefill(primes)
     assert set(bulk._cache) == {(p, 1) for p in primes.tolist()}
     for p in primes.tolist():
-        assert bulk.local_set(p) == single.local_set(p), p
+        assert bulk.local_set(p).tolist() == single.local_set(p).tolist(), p
     # cached sets are kept, not recomputed
     seven = bulk.local_set(7)
     bulk.prefill([7, 11])
@@ -475,10 +484,52 @@ def test_prefill_checks_like_local_set():
         rule = lambda p, v: points(p)
         return LocalSystem(dimension, rule, bulk_rule=lambda ps: [points(p) for p in ps.tolist()], **kw)
 
+    # every rule return kind gives the same sorted, distinct, read-only
+    # array through local_set and through prefill
+    kinds = [
+        (1, lambda p: range(1, 4), [[1], [2], [3]]),
+        (1, lambda p: np.array([3, 1, 3, 2]), [[1], [2], [3]]),
+        (2, lambda p: np.array([[1, 2], [0, 4], [1, 2], [0, 3]]), [[0, 3], [0, 4], [1, 2]]),
+        (2, lambda p: {(1, 2), (0, 4), (1, 0)}, [[0, 4], [1, 0], [1, 2]]),
+        (1, lambda p: [3, 1, 3, (2,), (1,)], [[1], [2], [3]]),
+        (1, lambda p: (a for a in (4, 0, 4)), [[0], [4]]),
+        (2, lambda p: (), []),
+        (1, lambda p: range(0), []),
+    ]
+    for dimension, points, want in kinds:
+        single, bulk = twin(dimension, points), twin(dimension, points)
+        bulk.prefill([5, 7])
+        for got in (single.local_set(5), bulk.local_set(5), bulk.local_set(7)):
+            assert got.dtype == np.int64 and got.shape == (len(want), dimension)
+            assert got.tolist() == want
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[:] = 0
+    # one batch of many sets of mixed kinds and sizes, empty ones between,
+    # against the definition: the sorted distinct tuples of each set
+    rng = random.Random(11)
+    kinds = [list, set, iter, lambda pts: np.array(pts, dtype=np.int64).reshape(-1, 2)]
+    drawn = {}
+    for p in prime_array(600).tolist():
+        pts = [(rng.randrange(p), rng.randrange(p)) for _ in range(rng.choice([0, 1, 3, 40]))]
+        drawn[p] = (pts, rng.choice(kinds))
+    bulk = twin(2, lambda p: drawn[p][1](drawn[p][0]))
+    bulk.prefill(list(drawn))
+    for p, (pts, _) in drawn.items():
+        assert bulk.local_set(p).tolist() == [list(t) for t in sorted(set(pts))], p
     cases = [
         (twin(1, lambda p: (p,)), "not canonical"),
         (twin(1, lambda p: (-1,)), "not canonical"),
+        (twin(1, lambda p: range(-1, 2)), "not canonical"),
+        (twin(1, lambda p: range(p + 1)), "not canonical"),
+        (twin(1, lambda p: np.array([0, p])), "not canonical"),
+        (twin(2, lambda p: np.array([[0, -1]])), "not canonical"),
+        (twin(1, lambda p: [0, (2**70,)]), "not canonical"),
+        (twin(1, lambda p: [2**64]), "not canonical"),
         (twin(2, lambda p: ((0,),)), "wrong dimension"),
+        (twin(2, lambda p: [(0, 1), (0, 1, 2)]), "wrong dimension"),
+        (twin(2, lambda p: range(3)), "wrong dimension"),
+        (twin(1, lambda p: np.array([[0, 1]])), "wrong dimension"),
         (twin(1, lambda p: (0,), support_limit=10), "beyond support limit"),
     ]
     for s, message in cases:
@@ -486,11 +537,25 @@ def test_prefill_checks_like_local_set():
             s.local_set(11)
         with pytest.raises(ValueError, match=message):
             s.prefill([11])
-    # duplicates collapse and the points come out sorted, as from local_set
-    s = twin(1, lambda p: (3, 1, 3, (2,)))
-    s.prefill([5])
-    assert s.local_set(5) == ((1,), (2,), (3,))
-    assert LocalSystem(1, s.rule).local_set(5) == ((1,), (2,), (3,))
+        assert s._cache == {}
+    # a bulk rule must answer for every prime
+    short = LocalSystem(1, None, bulk_rule=lambda ps: [(0,)])
+    with pytest.raises(ValueError, match="shorter"):
+        short.prefill([5, 7])
+
+
+def test_local_set_refuses_past_int64():
+    # the cache is int64: prime powers and coordinates must stay below 2^63
+    s = LocalSystem(1, lambda p, v: {(0,)}, support_limit=2**70)
+    with pytest.raises(ValueError, match="3\\^40 = 12157665459056928801 is at least 2\\^63"):
+        s.local_set(3, 40)
+    assert s.local_set(3, 39).tolist() == [[0]]
+    wide = LocalSystem(2, lambda p, v: [(0, 2**63), (1, 1)])
+    with pytest.raises(ValueError, match="not canonical mod 5\\^1"):
+        wide.local_set(5)
+    neg = LocalSystem(1, lambda p, v: np.array([2**62, -(2**62)]).astype(object))
+    with pytest.raises(ValueError, match="not canonical"):
+        neg.local_set(5)
 
 
 def test_local_profile_cached_per_x():

@@ -85,27 +85,25 @@ def test_config_validation():
 
 def test_build_system_dispatch(tmp_path):
     s = build_system("poly:1,0,1")
-    assert s.dimension == 1 and s.local_set(5, 1) == ((2,), (3,))
-    assert build_system("pseudo:f1").local_set(5, 1) == ((2,), (4,))
+    assert s.dimension == 1 and s.local_set(5, 1).tolist() == [[2], [3]]
+    assert build_system("pseudo:f1").local_set(5, 1).tolist() == [[2], [4]]
     assert build_system("full").dimension == 1
-    assert build_system("full:2").local_set(3, 1) == tuple(
-        (a, b) for a in range(3) for b in range(3)
-    )
-    assert build_system("initial-segment").local_set(11, 1) == ((1,), (2,), (3,), (4,))
+    assert build_system("full:2").local_set(3, 1).tolist() == [[a, b] for a in range(3) for b in range(3)]
+    assert build_system("initial-segment").local_set(11, 1).tolist() == [[1], [2], [3], [4]]
     v = build_system("veronese:3:-2,0,0,1")
     assert v.dimension == 2
     assert all(b == (a * a) % 31 for a, b in v.local_set(31, 1))
     g = build_system("graph:-2,0,1:0,0,1")
-    assert g.dimension == 2 and g.local_set(7, 1) == ((3, 2), (4, 2))
+    assert g.dimension == 2 and g.local_set(7, 1).tolist() == [[3, 2], [4, 2]]
     im = build_system("image:1,0,1:0,1")
-    assert im.local_set(5, 1) == ((2,), (3,))
+    assert im.local_set(5, 1).tolist() == [[2], [3]]
     path = tmp_path / "sys.txt"
     save_local_system(
         LocalSystem(1, lambda p, v: ((0,),) if v == 1 else ()),
         path,
         [(2, 1), (3, 1), (5, 1)],
     )
-    assert build_system(f"file:{path}").local_set(3, 1) == ((0,),)
+    assert build_system(f"file:{path}").local_set(3, 1).tolist() == [[0]]
     with pytest.raises(ValueError, match="unknown system spec"):
         build_system("magic:1,2,3")
     with pytest.raises(ValueError, match="coefficient list"):

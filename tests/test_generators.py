@@ -135,7 +135,7 @@ def test_roots_system_quadratic_split():
 def test_roots_system_trivia():
     s = roots_system(IntPolynomial((0, 1)))  # f = X
     for p in (2, 3, 97):
-        assert s.local_set(p, 1) == ((0,),)
+        assert s.local_set(p, 1).tolist() == [[0]]
     red = roots_system(IntPolynomial((2, -3, 1)))  # (X-1)(X-2)
     for p in range(3, 100):
         if is_prime_slow(p):
@@ -146,7 +146,7 @@ def test_veronese_degree2_equals_roots():
     s2 = veronese_system(X2P1, 2)
     r = roots_system(X2P1)
     for p in (5, 13, 17):
-        assert s2.local_set(p, 1) == r.local_set(p, 1)
+        assert s2.local_set(p, 1).tolist() == r.local_set(p, 1).tolist()
     with pytest.raises(ValueError):
         veronese_system(X2P1, 1)
 
@@ -174,14 +174,14 @@ def test_veronese_hyperplane_bound():
 
 def test_image_and_graph():
     ident = IntPolynomial((0, 1))
-    assert image_system(X2P1, ident).local_set(13, 1) == roots_system(X2P1).local_set(13, 1)
+    assert image_system(X2P1, ident).local_set(13, 1).tolist() == roots_system(X2P1).local_set(13, 1).tolist()
     # g = X^2 collapses the two roots of X^2 - 2 onto one class
     f = IntPolynomial((-2, 0, 1))
     sq = IntPolynomial((0, 0, 1))
     im = image_system(f, sq)
     for p in (7, 17, 23, 31):  # 2 is a quadratic residue
         assert roots_system(f).local_size(p, 1) == 2
-        assert im.local_set(p, 1) == ((2 % p,),)
+        assert im.local_set(p, 1).tolist() == [[2 % p]]
     g3 = graph_system(IntPolynomial((-2, 0, 0, 1)), sq)
     pts = g3.local_set(31, 1)
     assert len(pts) == 3
@@ -200,8 +200,8 @@ def test_image_graph_vs_double_loop():
             continue
         pv = p**v
         roots = [a for a in range(pv) if f(a, pv) == 0]
-        assert set(image_system(f, g).local_set(p, v)) == {(g(a, pv),) for a in roots}
-        assert set(graph_system(f, g).local_set(p, v)) == {(a, g(a, pv)) for a in roots}
+        assert image_system(f, g).local_set(p, v).tolist() == [[b] for b in sorted({g(a, pv) for a in roots})]
+        assert graph_system(f, g).local_set(p, v).tolist() == [[a, g(a, pv)] for a in roots]
 
 
 
@@ -225,24 +225,24 @@ def test_root_map_prefill_matches_rule(make):
     # a fresh system, never prefilled, finds every set one prime at a time
     single = make(f)
     for p in primes.tolist():
-        assert bulk.local_set(p) == single.local_set(p), p
-    assert bulk.local_set(3, 2) == single.local_set(3, 2)
+        assert bulk.local_set(p).tolist() == single.local_set(p).tolist(), p
+    assert bulk.local_set(3, 2).tolist() == single.local_set(3, 2).tolist()
 
 
 def test_bezout_worked_pair():
     f1 = BivariatePoly(((3, 0, 1), (0, 3, 1), (0, 0, -1)))  # X^3 + Y^3 - 1
     f2 = BivariatePoly(((0, 2, 1), (3, 0, -1), (0, 0, 2)))  # Y^2 - X^3 + 2
     s = bezout_system(f1, f2)
-    got = set(s.local_set(7, 1))
-    want = {(x, y) for x in range(7) for y in range(7)
-            if (x**3 + y**3 - 1) % 7 == 0 and (y * y - x**3 + 2) % 7 == 0}
+    got = s.local_set(7, 1).tolist()
+    want = [[x, y] for x in range(7) for y in range(7)
+            if (x**3 + y**3 - 1) % 7 == 0 and (y * y - x**3 + 2) % 7 == 0]
     assert got == want
 
 
 def test_bezout_trivia_and_budget():
     s = bezout_system(BivariatePoly(((1, 0, 1),)), BivariatePoly(((0, 1, 1),)))
     for p, v in ((2, 1), (5, 1), (3, 2)):
-        assert s.local_set(p, v) == ((0, 0),)
+        assert s.local_set(p, v).tolist() == [[0, 0]]
     tight = bezout_system(BivariatePoly(((1, 0, 1),)), budget=100)
     with pytest.raises(ValueError, match="budget"):
         tight.local_set(11, 1)
@@ -251,7 +251,7 @@ def test_bezout_trivia_and_budget():
 def test_bezout_single_form():
     # one-polynomial variant: the full zero locus of X - Y
     s = bezout_system(BivariatePoly(((1, 0, 1), (0, 1, -1))))
-    assert set(s.local_set(5, 1)) == {(t, t) for t in range(5)}
+    assert s.local_set(5, 1).tolist() == [[t, t] for t in range(5)]
 
 
 def test_pseudo_values_and_seeds():
@@ -317,20 +317,20 @@ def test_f3_counts_single_fixed_point_permutations():
 
 def test_pseudo_system_wraps_roots():
     s = pseudo_system("f1")
-    assert s.local_set(5, 1) == ((2,), (4,))
-    assert set(x[0] for x in s.local_set(5, 2)) == pseudo_roots_exact("f1", 25)
+    assert s.local_set(5, 1).tolist() == [[2], [4]]
+    assert s.local_set(5, 2).tolist() == [[a] for a in sorted(pseudo_roots_exact("f1", 25))]
 
 
 def test_initial_segment_system():
     s = initial_segment_system()
     assert segment_length(7) == 0 and segment_length(11) == 4
     for p in (2, 3, 5, 7):
-        assert s.local_set(p, 1) == ()
+        assert s.local_set(p, 1).tolist() == []
         assert s.local_size(p, 1) == 0
-    assert s.local_set(11, 1) == ((1,), (2,), (3,), (4,))
-    assert s.local_set(13, 1) == tuple((k,) for k in range(1, 6))
+    assert s.local_set(11, 1).tolist() == [[1], [2], [3], [4]]
+    assert s.local_set(13, 1).tolist() == [[k] for k in range(1, 6)]
     for p, v in ((2, 2), (11, 2), (13, 3)):
-        assert s.local_set(p, v) == ()
+        assert s.local_set(p, v).tolist() == []
     # size_rule answers without materializing
     assert s.local_size(9973, 1) == segment_length(9973) == int(9973 / math.log(9973))
 
@@ -338,7 +338,7 @@ def test_initial_segment_system():
 def test_restrict_primes():
     s = roots_system(X2P1)
     same = restrict_primes(s, lambda p: True)
-    assert same.local_set(13, 1) == s.local_set(13, 1)
+    assert same.local_set(13, 1).tolist() == s.local_set(13, 1).tolist()
     only1mod4 = restrict_primes(s, lambda p: p % 4 == 1)
     got = supported_moduli(only1mod4, 200).members
     want = [q for q in supported_moduli(s, 200).members if q % 2]
@@ -349,11 +349,11 @@ def test_restrict_primes():
 
 def test_full_system_sets():
     s1 = full_system(1)
-    assert s1.local_set(5, 1) == tuple((a,) for a in range(5))
+    assert s1.local_set(5, 1).tolist() == [[a] for a in range(5)]
     assert s1.local_size(7, 2) == 49
     s2 = full_system(2)
     assert s2.local_size(3, 1) == 9
-    assert len(s2.local_set(3, 1)) == 9
+    assert s2.local_set(3, 1).tolist() == [[a, b] for a in range(3) for b in range(3)]
 
 
 def _random_poly(rng, deg, lead):
