@@ -57,8 +57,7 @@ class LocalSystem:
         blocks, segs, loose, loose_seg = [], [], [], []
         for i, raw in zip(range(len(keys)), raws, strict=True):
             if isinstance(raw, range):
-                # np.arange takes int64 bounds only, so a range with an end
-                # outside [0, p^v) goes on as the list of its ends
+                # np.arange needs int64 bounds: a range reaching past [0, p^v) goes on as its two ends
                 fits = not raw or 0 <= min(raw) <= max(raw) < values[i]
                 raw = np.arange(raw.start, raw.stop, raw.step, dtype=np.int64) if fits else [min(raw), max(raw)]
             if isinstance(raw, np.ndarray) and raw.dtype == np.int64:
@@ -216,14 +215,18 @@ def _crt_fold(system, moduli):
     seg = np.arange(count).repeat([len(sets[0][1]) for sets in joins])
     for step in range(1, steps):
         # per modulus: set size, offset of its rows, p^v and the inverse of m
-        # mod p^v; a modulus without a set at this step joins the zero row
-        # mod 1, where the inverse is 0
-        step_sets = [sets[step] if step < len(sets) else (1, zero) for sets in joins]
-        sizes = [len(local) for _, local in step_sets]
-        pv = [b for b, _ in step_sets]
-        inv = [pow(a, -1, b) for a, b in zip(m, pv)]
-        locs = np.concatenate([local for _, local in step_sets])
-        table = np.array((sizes, np.cumsum(sizes) - sizes, pv, inv, m), dtype=np.int64)
+        # mod p^v; the other moduli read the zero row appended last, mod 1,
+        # where the inverse is 0
+        sizes, off, pv, inv = [1] * count, [-1] * count, [1] * count, [0] * count
+        step_sets, total = [], 0
+        for i, sets in enumerate(joins):
+            if step < len(sets):
+                pv[i], local = sets[step]
+                sizes[i], off[i], inv[i] = len(local), total, pow(m[i], -1, pv[i])
+                step_sets.append(local)
+                total += len(local)
+        locs = np.concatenate(step_sets + [zero])
+        table = np.array((sizes, off, pv, inv, m), dtype=np.int64)
         # row r of a modulus meets every local row of that modulus; k counts
         # the copies of each old row
         rep = table[0, seg]
@@ -475,8 +478,7 @@ def load_local_system(path, dimension=None, support_limit=None, name=None):
                 coords = tuple(int(c) for c in fields[2].split(","))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed integers in {raw.strip()!r}") from None
-            if dim is None:
-                dim = len(coords)
+            dim = len(coords) if dim is None else dim
             if len(coords) != dim:
                 raise ValueError(f"{path}:{lineno}: expected {dim} coordinates, got {len(coords)}")
             if (p, v) not in entries:

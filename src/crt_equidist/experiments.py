@@ -501,12 +501,10 @@ def prime_weyl_averages(system, x, h_set):
     if not supported:
         raise ValueError(f"no supported primes up to {x}")
     out = {}
-    rho = [len(arr) for _, arr in supported]
     for h in h_set:
         ws = [complex(np.exp((2j * np.pi / p) * ((h * arr) % p)).mean()) for p, arr in supported]
         plain = complex(math.fsum(w.real for w in ws) / len(ws), math.fsum(w.imag for w in ws) / len(ws))
-        weighted = complex(
-            math.fsum(r * w.real for r, w in zip(rho, ws)) / pi_x, math.fsum(r * w.imag for r, w in zip(rho, ws)) / pi_x
-        )
+        terms = [(len(arr) * w.real, len(arr) * w.imag) for (_, arr), w in zip(supported, ws)]
+        weighted = complex(math.fsum(a for a, _ in terms) / pi_x, math.fsum(b for _, b in terms) / pi_x)
         out[int(h)] = (plain, weighted)
     return out, len(supported), pi_x

@@ -396,8 +396,7 @@ def _root_map_system(dimension, f, point, name):
     roots = roots_system(f)
 
     def rule(p, v):
-        pv = p**v
-        return [point(a, pv) for a in roots.local_set(p, v)[:, 0].tolist()]
+        return [point(a, p**v) for a in roots.local_set(p, v)[:, 0].tolist()]
 
     def bulk_rule(primes):
         roots.prefill(primes)
