@@ -3,6 +3,7 @@ statistics, and enumeration of the supported moduli."""
 
 import math
 import threading
+from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -208,7 +209,7 @@ def _crt_fold(system, moduli):
                 break
             sets.append((p**v, local))
         # A_1 is the zero row mod 1
-        joins.append(sorted(sets, key=lambda s: s[0], reverse=True) or [(1, zero)])
+        joins.append(sorted(sets, key=itemgetter(0), reverse=True) or [(1, zero)])
     count, steps = len(joins), max(map(len, joins), default=0)
     m = [sets[0][0] for sets in joins]
     arr = np.concatenate([zero[:0]] + [sets[0][1] for sets in joins])
