@@ -6,7 +6,7 @@ and aggregation over supported moduli."""
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -104,22 +104,42 @@ def weyl_sum(source, h):
     return complex(np.exp((2j * np.pi / q) * dots).mean())
 
 
+@lru_cache(maxsize=4)
 def _freq_box(n, H):
-    """Nonzero integer vectors with max-norm <= H as an (F, n) int64 array,
-    lexicographic (the `itertools.product` order)."""
+    """(box, weights) for dimension n and cutoff H, built once and shared:
+    box holds the nonzero integer vectors with max-norm <= H as an (F, n)
+    int64 array, lexicographic (the `itertools.product` order), and weights
+    the matching Erdos-Turan weights M(h) = prod max(|h_i|, 1). Both arrays
+    are read-only."""
     box = np.indices((2 * H + 1,) * n, dtype=np.int64).reshape(n, -1).T - H
-    return box[box.any(axis=1)]
+    box = box[box.any(axis=1)]
+    weights = np.prod(np.maximum(np.abs(box), 1), axis=1)
+    box.flags.writeable = weights.flags.writeable = False
+    return box, weights
 
 
 def weyl_spectrum(source, H):
+    """W(h) for every nonzero h with max-norm <= H; `freqs` is the shared
+    read-only box of `_freq_box`.
+
+    Each W(h) is the mean of e(d / q) over the reduced dot products d =
+    h.x mod q. When q <= N*F (N points, F frequencies) the phases come from
+    a table of e(d / q) for d < q, which is no larger than the (N, F) array
+    it fills; otherwise `exp` runs on the dot products directly. Both give
+    the same bits: (2j*pi/q) * d has real part exactly 0 and imaginary part
+    (2*pi/q) * d rounded once, so `exp` sees the same input either way."""
     if H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
     q, pts = _points_of(source)
     n = pts.shape[1]
     require_int64(n * H * (q - 1), "n*H*(q-1)")
-    freqs = _freq_box(n, H)
-    values = np.exp((2j * np.pi / q) * ((pts @ freqs.T) % q)).mean(axis=0)
-    return WeylSpectrum(q=q, H=H, freqs=freqs, values=values)
+    freqs = _freq_box(n, H)[0]
+    dots = (pts @ freqs.T) % q
+    if q <= dots.size:
+        phases = np.exp((2j * np.pi / q) * np.arange(q))[dots]
+    else:
+        phases = np.exp((2j * np.pi / q) * dots)
+    return WeylSpectrum(q=q, H=H, freqs=freqs, values=phases.mean(axis=0))
 
 
 def frequency_modulus(h, q):
@@ -320,6 +340,8 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     n = ps.dimension
     pts = ps.array
     N = len(pts)
+    if H is not None:
+        _require_spectrum_budget(N, n, H, budget)
     rng = _random.Random(seed)
     axes = [np.unique(pts[:, a]) for a in range(n)]
     qn = q**n
@@ -354,12 +376,28 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     )
 
 
+def _require_spectrum_budget(N, n, H, budget):
+    """Refuse an explicit cutoff H whose spectrum of N points would hold
+    N*(2H+1)^n terms, over `budget`: the rule the automatic H obeys, checked
+    before anything is allocated."""
+    terms = N * (2 * H + 1) ** n
+    if terms > budget:
+        raise ValueError(f"Weyl spectrum at H={H} needs {terms} terms, over budget {budget}; lower H")
+
+
 def erdos_turan_bound(spectrum):
     """(3/2)^n * (1/H + sum over 0 < max-norm(h) <= H of |W(h)| / M(h)),
-    clamped to 1."""
-    c = 1.5**spectrum.dimension
-    s = math.fsum(np.abs(spectrum.values) / np.prod(np.maximum(np.abs(spectrum.freqs), 1), axis=1))
-    return min(1.0, c * (1.0 / spectrum.H + s))
+    clamped to 1, with M(h) = prod max(|h_i|, 1). A spectrum whose `freqs`
+    is the shared box of `_freq_box` reads the cached weights; any other
+    gets them from its own `freqs`."""
+    n, H, freqs = spectrum.dimension, spectrum.H, spectrum.freqs
+    # the cache is read only for a spectrum of the box's size, so a lookup
+    # never builds a box larger than `freqs`
+    box, weights = _freq_box(n, H) if len(freqs) == (2 * H + 1) ** n - 1 else (None, None)
+    if freqs is not box:
+        weights = np.prod(np.maximum(np.abs(freqs), 1), axis=1)
+    s = math.fsum((np.abs(spectrum.values) / weights).tolist())
+    return min(1.0, 1.5**n * (1.0 / H + s))
 
 
 # ---------------------------------------------------------------------------

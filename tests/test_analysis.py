@@ -36,6 +36,7 @@ from crt_equidist.crt_sets import (
     residue_set,
     supported_moduli,
 )
+from crt_equidist.experiments import build_system
 from crt_equidist.generators import IntPolynomial, full_system, graph_system, initial_segment_system, roots_system
 from crt_equidist.modarith import sieve_primes
 from oracles import (
@@ -183,6 +184,111 @@ def test_weyl_spectrum_int64_limit():
         assert abs(w - direct_weyl(pts, q, h)) < 1e-10
     with pytest.raises(ValueError, match=r"2\^63"):
         weyl_spectrum(torus(pts, q + 1, 2), 1)
+
+
+# ---------------------------------------------------------------------------
+# the shared frequency box, the phase table and the list fsum against the
+# direct formulas they replaced
+
+
+def _direct_spectrum(pts, q, H):
+    """Frequencies in `itertools.product` order and the spectrum as one
+    `exp` over all reduced dot products, as before the phase table."""
+    freqs = np.array([h for h in itertools.product(range(-H, H + 1), repeat=pts.shape[1]) if any(h)], dtype=np.int64)
+    return freqs, np.exp((2j * np.pi / q) * ((pts @ freqs.T) % q)).mean(axis=0)
+
+
+def _direct_et(freqs, values, H):
+    """The Erdos-Turan bound with M(h) computed from `freqs` and `fsum`
+    over numpy scalars, as before the cached weights."""
+    s = math.fsum(np.abs(values) / np.prod(np.maximum(np.abs(freqs), 1), axis=1))
+    return min(1.0, 1.5 ** freqs.shape[1] * (1.0 / H + s))
+
+
+def _assert_same_bits(ws, pts, q, H):
+    """Assert that `ws` and its ET bound equal the direct path bit for bit;
+    return the bound of the spectrum scaled by 1e-4."""
+    freqs, values = _direct_spectrum(pts, q, H)
+    assert np.array_equal(ws.freqs, freqs)
+    assert np.array_equal(ws.values.view(np.int64), values.view(np.int64))
+    assert erdos_turan_bound(ws) == _direct_et(freqs, values, H)
+    # scaled sums check the weighted sum where the bound does not clamp at 1
+    small = dataclasses.replace(ws, values=ws.values * 1e-4)
+    assert erdos_turan_bound(small) == _direct_et(freqs, values * 1e-4, H)
+    return erdos_turan_bound(small)
+
+
+# (n, q, N, H, table): the phase table serves q <= N*F, with F = (2H+1)^n - 1;
+# H > 1.5^n keeps the scaled bound below 1
+FAST_PATH_CASES = [
+    (1, 101, 40, 9, True),
+    (1, 20, 5, 2, True),
+    (1, 21, 5, 2, False),
+    (1, 100003, 40, 9, False),
+    (2, 23, 40, 5, True),
+    (2, 102947, 30, 3, False),
+    (3, 7, 40, 4, True),
+    (3, 65537, 10, 4, False),
+    (2, 2**20 + 7, 700, 20, True),
+    (1, 10**6 + 3, 20000, 30, True),
+]
+
+
+@pytest.mark.parametrize("n, q, N, H, table", FAST_PATH_CASES)
+def test_weyl_spectrum_and_et_bits_equal_the_direct_path(n, q, N, H, table):
+    rng = random.Random(q * 10 + n)
+    pts = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(N)]
+    assert (q <= N * ((2 * H + 1) ** n - 1)) == table
+    ws = weyl_spectrum(torus(pts, q, n), H)
+    assert _assert_same_bits(ws, np.array(pts, dtype=np.int64), q, H) < 1.0
+
+
+def test_weyl_spectrum_bits_over_many_moduli_and_near_2_62():
+    rng = random.Random(97)
+    for q in range(1, 600, 7):
+        pts = [(rng.randrange(q),) for _ in range(rng.randrange(1, 30))]
+        _assert_same_bits(weyl_spectrum(torus(pts, q), 6), np.array(pts, dtype=np.int64), q, 6)
+    # q = 2^62 is far past N*F, so this is the direct branch
+    ws = weyl_spectrum(torus(NEAR_2_62, 2**62, 2), 1)
+    _assert_same_bits(ws, np.array(NEAR_2_62, dtype=np.int64), 2**62, 1)
+
+
+def test_aggregate_et_rows_equal_the_direct_loop():
+    g = build_system("graph:1,0,1:0,0,1")
+    st = aggregate_stats(g, 400, include_per_q=True)
+    H = analysis._auto_H(g, 400)
+    want = []
+    for q, _, rho in iter_supported(g, 400):
+        freqs, values = _direct_spectrum(residue_set(g, q).array, q, H)
+        want.append((q, rho, _direct_et(freqs, values, H)))
+    assert st.method == "erdos_turan" and H == 61 and len(want) == 82
+    assert st.per_q == tuple(want)
+
+
+def test_freq_box_is_shared_and_read_only():
+    box, weights = analysis._freq_box(2, 3)
+    assert analysis._freq_box(2, 3)[0] is box
+    assert weyl_spectrum(torus([(1, 2), (3, 4), (0, 6)], 7, 2), 3).freqs is box
+    assert weights.tolist() == [math.prod(max(1, abs(c)) for c in h) for h in box.tolist()]
+    for arr in (box, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_et_bound_takes_weights_from_its_own_freqs():
+    rng = random.Random(71)
+    pts = [(rng.randrange(29), rng.randrange(29)) for _ in range(30)]
+    ws = weyl_spectrum(torus(pts, 29, 2), 4)
+    small = dataclasses.replace(ws, values=ws.values * 1e-4)
+    order = list(range(len(ws.freqs)))
+    rng.shuffle(order)
+    moved = dataclasses.replace(small, freqs=ws.freqs[order])
+    assert erdos_turan_bound(moved) == _et_loop(moved) != erdos_turan_bound(small)
+    copied = dataclasses.replace(small, freqs=ws.freqs.copy())
+    assert erdos_turan_bound(copied) == _et_loop(copied) == erdos_turan_bound(small)
+    # a cutoff that does not fit `freqs` builds no box of its own size
+    wide = dataclasses.replace(small, H=10**6)
+    assert erdos_turan_bound(wide) == _direct_et(wide.freqs, wide.values, wide.H)
 
 
 def test_frequency_modulus():
@@ -442,6 +548,17 @@ def test_box_disc_budget_and_modes():
         box_discrepancy(three, mode="exact")
     b3 = box_discrepancy(three, mode="bounds")
     assert b3.bounds[0] <= b3.bounds[1]
+
+
+def test_box_disc_refuses_explicit_H_over_budget():
+    # an explicit H obeys the automatic rule N*(2H+1)^n <= budget
+    ps = torus([(1, 2), (2, 4), (3, 1), (4, 3)], 5, n=2)
+    assert box_discrepancy(ps, mode="bounds", H=2, budget=100).H == 2
+    with pytest.raises(ValueError, match="over budget 99"):
+        box_discrepancy(ps, mode="bounds", H=2, budget=99)
+    # refused before anything is allocated: 4 * (2*10^6 + 1)^2 terms
+    with pytest.raises(ValueError, match="over budget"):
+        box_discrepancy(ps, mode="bounds", H=10**6)
 
 
 def test_box_disc_bounds_never_exceed_exact():

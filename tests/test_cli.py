@@ -168,6 +168,23 @@ def test_computational_error_exit(run_cli, tmp_path, capsys):
     assert err.startswith("error:") and "2^63" in err
 
 
+def test_explicit_H_over_budget_is_refused(run_cli, tmp_path, capsys):
+    # 8 points of A_1105 at H = 3000 would need (8, 36012000) complex sums
+    out = tmp_path / "hb"
+    run_cli(["disc", "--system", "graph:1,0,1:0,0,1", "--q", "1105", "--disc-mode", "bounds", "--H", "3000",
+             "--quiet", "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "over budget 50000000" in err
+    assert listdir(out) == ["config.txt"]
+    # the exact 1-D scan takes no budget, but its spectrum.json does:
+    # 4 points * (2*8 + 1) = 68 terms
+    run_cli(["disc", "--poly", "1,0,1", "--q", "65", "--H", "8", "--budget", "67", "--quiet", "--out", out],
+            expect=1)
+    assert "over budget 67" in capsys.readouterr().err
+    run_cli(["disc", "--poly", "1,0,1", "--q", "65", "--H", "8", "--budget", "68", "--quiet", "--out", out])
+    assert "spectrum.json" in listdir(out)
+
+
 def test_table_refuses_root_count_limit(run_cli, tmp_path, capsys):
     # refused before the sieve, so no report and no long pass
     out = tmp_path / "big"
