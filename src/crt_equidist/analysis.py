@@ -558,7 +558,9 @@ def aggregate_stats(
     point-count-weighted aggregate measure).
 
     Exact per-q discrepancy for 1-dimensional systems; higher dimensions
-    default to Erdos-Turan upper bounds unless disc_mode='exact'."""
+    default to Erdos-Turan upper bounds unless disc_mode='exact'. An
+    Erdos-Turan modulus of N points whose spectrum would hold N*(2H+1)^n
+    terms, over `budget`, is refused before its spectrum is built."""
     if weighting not in ("uniform", "rho"):
         raise ValueError(f"weighting must be 'uniform' or 'rho', got {weighting!r}")
     n = system.dimension
@@ -576,6 +578,7 @@ def aggregate_stats(
             disc = box_discrepancy(ps, mode="exact", budget=budget).value
             method = "exact"
         else:
+            _require_spectrum_budget(len(pts), n, h_val, budget)
             disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
             method = "erdos_turan"
         mass_count = None

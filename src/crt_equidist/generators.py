@@ -12,8 +12,8 @@ import numpy as np
 from .crt_sets import LocalSystem
 from .modarith import INT64_LIMIT, mod_inverse, require_int64
 
-# rows per block of the batched root finder, bounding its working memory
-_ROOT_BLOCK = 1024
+# primes per block of the batched root finder, bounding its working memory
+_ROOT_BLOCK = 4096
 # splitting constants tried per factor in each round of the batched split
 _SPLIT_TRIES = 3
 
@@ -165,72 +165,73 @@ def pow_mod_array(xs, e, m):
 # ---------------------------------------------------------------------------
 # univariate roots mod p and mod p^v
 
-# Batched root finding. Each row of an array is one polynomial mod its own
-# prime, constant term first; the row helpers take the primes as a column
-# `p` of shape (R, 1). The rows are int64, or Python ints (dtype=object)
-# where int64 products could overflow, and every helper keeps the dtype.
+# Batched root finding. An array of shape (width, R) holds R polynomials,
+# one per column, coefficient i in row i, each mod its own prime of the 1-D
+# array `p`; laid out this way every numpy loop runs along the R columns.
+# The entries are int64, or Python ints (dtype=object) where int64 products
+# could overflow, and every helper keeps the dtype.
 
 def _degrees(a):
-    """Degree of each row, -1 for a zero row."""
+    """Degree of each column, -1 for a zero column."""
     nz = a != 0
-    return np.where(nz.any(axis=1), a.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    return np.where(nz.any(axis=0), a.shape[0] - 1 - np.argmax(nz[::-1], axis=0), -1)
 
 
 def _reduce_rows(a, g, p):
-    """The rows of a (entries in [0, p)) mod the monic rows of g, all of
-    one degree k; overwrites a and returns its low k columns."""
-    k = g.shape[1] - 1
-    for t in range(a.shape[1] - 1, k - 1, -1):
-        a[:, t - k : t] = (a[:, t - k : t] - a[:, t : t + 1] * g[:, :k]) % p
-    return a[:, :k]
+    """The columns of a (entries in [0, p)) mod the monic columns of g, all
+    of one degree k; overwrites a and returns its low k rows."""
+    k = g.shape[0] - 1
+    for t in range(a.shape[0] - 1, k - 1, -1):
+        a[t - k : t] = (a[t - k : t] - a[t] * g[:k]) % p
+    return a[:k]
 
 
 def _mulmod_rows(a, b, g, p):
-    """a * b mod (g, p) for residue rows of width k. A column of the product
-    sums at most k terms below (p - 1)^2 before it is reduced."""
-    rows, k = a.shape
-    prod = np.zeros((rows, 2 * k - 1), dtype=a.dtype)
+    """a * b mod (g, p) for residue columns of height k. A coefficient of
+    the product sums at most k terms below (p - 1)^2 before it is reduced."""
+    k = a.shape[0]
+    prod = np.zeros((2 * k - 1, a.shape[1]), dtype=a.dtype)
     for i in range(k):
-        prod[:, i : i + k] += a[:, i : i + 1] * b
+        prod[i : i + k] += a[i] * b
     return _reduce_rows(prod % p, g, p)
 
 
 def _pow_linear_rows(c, e, g, p):
-    """(X + c)^e mod (g, p), left-to-right over the bits of each row's own
+    """(X + c)^e mod (g, p), left-to-right over the bits of each column's
     exponent e; leading zero bits only square the 1 the result starts at."""
-    rows, k = g.shape[0], g.shape[1] - 1
-    acc = np.zeros((rows, k), dtype=g.dtype)
-    acc[:, 0] = 1
+    k, cols = g.shape[0] - 1, g.shape[1]
+    acc = np.zeros((k, cols), dtype=g.dtype)
+    acc[0] = 1
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         acc = _mulmod_rows(acc, acc, g, p)
-        step = np.zeros((rows, k + 1), dtype=g.dtype)
-        step[:, 1:] = acc
-        step[:, :k] += c[:, None] * acc
-        acc = np.where((e >> bit & 1 == 1)[:, None], _reduce_rows(step % p, g, p), acc)
+        step = np.zeros((k + 1, cols), dtype=g.dtype)
+        step[1:] = acc
+        step[:k] += c * acc
+        acc = np.where(e >> bit & 1 == 1, _reduce_rows(step % p, g, p), acc)
     return acc
 
 
 def _gcd_rows(a, b, p):
-    """Monic gcd of the row pairs (a, b), of one width, and its degree, by a
-    masked Euclid: while b is nonzero, a <- lead(b) a - lead(a) X^s b with
+    """Monic gcd of the column pairs (a, b) and its degree, by a masked
+    Euclid: while b is nonzero, a <- lead(b) a - lead(a) X^s b with
     s = deg a - deg b drops deg a, and the pair swaps when deg a < deg b."""
-    idx, cols = np.arange(len(a)), np.arange(a.shape[1])
+    idx, rows = np.arange(a.shape[1]), np.arange(a.shape[0])[:, None]
     da, db = _degrees(a), _degrees(b)
     while True:
-        swap = (da < db)[:, None]
+        swap = da < db
         a, b = np.where(swap, b, a), np.where(swap, a, b)
         da, db = np.maximum(da, db), np.minimum(da, db)
         live = db >= 0
         if not live.any():
             break
-        src = cols - np.where(live, da - db, 0)[:, None]
-        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=1), 0)
-        lead_a = np.where(live, a[idx, da], 0)
-        lead_b = np.where(live, b[idx, db], 1)
-        a = (lead_b[:, None] * a - lead_a[:, None] * shifted) % p
+        src = rows - np.where(live, da - db, 0)
+        shifted = np.where(src >= 0, np.take_along_axis(b, np.maximum(src, 0), axis=0), 0)
+        lead_a = np.where(live, a[da, idx], 0)
+        lead_b = np.where(live, b[db, idx], 1)
+        a = (lead_b * a - lead_a * shifted) % p
         da = _degrees(a)
-    inv = pow_mod_array(a[idx, da], p[:, 0] - 2, p[:, 0])
-    return a * inv[:, None] % p, da
+    inv = pow_mod_array(a[da, idx], p - 2, p)
+    return a * inv % p, da
 
 
 def _int_mod(c, primes):
@@ -240,89 +241,90 @@ def _int_mod(c, primes):
     return np.array([c % p for p in primes.tolist()], dtype=primes.dtype)
 
 
-def _file_factors(rows, u, deg, p, hits, pending):
+def _file_factors(cols, u, deg, p, hits, pending):
     """Sort monic factors by degree: a linear one gives its root, one of
     degree m >= 2 waits in pending[m] for splitting, constants drop out."""
     lin = deg == 1
-    hits.append((rows[lin], -u[lin, 0] % p[rows[lin]]))
+    hits.append((cols[lin], -u[0, lin] % p[cols[lin]]))
     for m in range(2, int(deg.max(initial=0)) + 1):
         sel = deg == m
         if sel.any():
-            pending.setdefault(m, []).append((rows[sel], u[sel, : m + 1]))
+            pending.setdefault(m, []).append((cols[sel], u[: m + 1, sel]))
 
 
-def _split_round(rows, u, p, rng, hits, pending):
+def _split_round(cols, u, p, rng, hits, pending):
     """One equal-degree splitting round for monic u of degree m >= 2 with m
     distinct roots. With h = (X + c)^((p - 1)/2) mod u, each root a lies in
     gcd(u, h - 1) or gcd(u, h + 1) by the quadratic character of a + c,
     unless a = -c, the one root the two factors miss. Of _SPLIT_TRIES
-    constants c per row the first that puts some but not all roots in
+    constants c per column the first that puts some but not all roots in
     gcd(u, h - 1) is kept; such a c exists for every pair of distinct
-    roots, and a row none of its constants splits comes back whole."""
-    n, m = u.shape[0], u.shape[1] - 1
-    uu = np.repeat(u, _SPLIT_TRIES, axis=0)
-    pp = np.repeat(p[rows], _SPLIT_TRIES)
+    roots, and a column none of its constants splits comes back whole."""
+    m, n = u.shape[0] - 1, u.shape[1]
+    one = (np.arange(m + 1) == 0)[:, None]
+    uu = np.repeat(u, _SPLIT_TRIES, axis=1)
+    pp = np.repeat(p[cols], _SPLIT_TRIES)
     c = (np.frombuffer(rng.randbytes(8 * len(pp)), dtype=np.uint64) >> np.uint64(1)).astype(np.int64) % pp
     h = np.zeros_like(uu)
-    h[:, :m] = _pow_linear_rows(c, (pp - 1) // 2, uu, pp[:, None])
-    d1, deg1 = _gcd_rows(uu, (h - (np.arange(m + 1) == 0)) % pp[:, None], pp[:, None])
+    h[:m] = _pow_linear_rows(c, (pp - 1) // 2, uu, pp)
+    d1, deg1 = _gcd_rows(uu, (h - one) % pp, pp)
     good = (deg1 > 0) & (deg1 < m)
     pick = np.arange(n) * _SPLIT_TRIES + np.argmax(good.reshape(n, _SPLIT_TRIES), axis=1)
-    c, pr, d1, deg1 = c[pick], pp[pick], d1[pick], deg1[pick]
-    d2, deg2 = _gcd_rows(u, (h[pick] + (np.arange(m + 1) == 0)) % pr[:, None], pr[:, None])
+    c, pr, d1, deg1 = c[pick], pp[pick], d1[:, pick], deg1[pick]
+    d2, deg2 = _gcd_rows(u, (h[:, pick] + one) % pr, pr)
     missed = deg1 + deg2 < m
-    hits.append((rows[missed], -c[missed] % pr[missed]))
-    _file_factors(rows, d1, deg1, p, hits, pending)
-    _file_factors(rows, d2, deg2, p, hits, pending)
+    hits.append((cols[missed], -c[missed] % pr[missed]))
+    _file_factors(cols, d1, deg1, p, hits, pending)
+    _file_factors(cols, d2, deg2, p, hits, pending)
 
 
 def _block_roots(coeffs, p, rng):
-    """Sorted roots for one block: row i of coeffs is f mod p[i]."""
-    hits = []  # (rows, roots) array pairs
+    """Sorted roots for one block: column j of coeffs is f mod p[j]."""
+    hits = []  # (cols, roots) array pairs
     two = p == 2
     # p = 2 by evaluation: f(0) is the constant term, f(1) the coefficient sum
-    for a, value in ((0, coeffs[:, 0]), (1, coeffs.sum(axis=1))):
-        rows = np.flatnonzero(two & (value % 2 == 0))
-        hits.append((rows, np.full(len(rows), a, dtype=np.int64)))
+    for a, value in ((0, coeffs[0]), (1, coeffs.sum(axis=0))):
+        cols = np.flatnonzero(two & (value % 2 == 0))
+        hits.append((cols, np.full(len(cols), a, dtype=np.int64)))
     deg = _degrees(coeffs)
     pending = {}
-    for k in range(1, coeffs.shape[1]):
-        rows = np.flatnonzero((deg == k) & ~two)
-        if len(rows) == 0:
+    for k in range(1, coeffs.shape[0]):
+        cols = np.flatnonzero((deg == k) & ~two)
+        if len(cols) == 0:
             continue
-        pr = p[rows]
-        inv = pow_mod_array(coeffs[rows, k], pr - 2, pr)
-        g = coeffs[rows, : k + 1] * inv[:, None] % pr[:, None]
+        pr = p[cols]
+        inv = pow_mod_array(coeffs[k, cols], pr - 2, pr)
+        g = coeffs[: k + 1, cols] * inv % pr
         if k == 1:
-            u, du = g, np.ones(len(rows), dtype=np.int64)
+            u, du = g, np.ones(len(cols), dtype=np.int64)
         else:
             # the distinct roots of g are those of gcd(g, X^p - X)
             h = np.zeros_like(g)
-            h[:, :k] = _pow_linear_rows(np.zeros(len(rows), dtype=np.int64), pr, g, pr[:, None])
-            h[:, 1] -= 1
-            u, du = _gcd_rows(g, h % pr[:, None], pr[:, None])
-        _file_factors(rows, u, du, p, hits, pending)
+            h[:k] = _pow_linear_rows(np.zeros(len(cols), dtype=np.int64), pr, g, pr)
+            h[1] -= 1
+            u, du = _gcd_rows(g, h % pr, pr)
+        _file_factors(cols, u, du, p, hits, pending)
     while pending:
         _, parts = pending.popitem()
         _split_round(
-            np.concatenate([r for r, _ in parts]), np.concatenate([u for _, u in parts]), p, rng, hits, pending
+            np.concatenate([c for c, _ in parts]), np.concatenate([u for _, u in parts], axis=1), p, rng, hits, pending
         )
-    rows = np.concatenate([r for r, _ in hits])
-    # every root is below its prime, so int64 holds it on either kind of row
+    cols = np.concatenate([c for c, _ in hits])
+    # every root is below its prime, so int64 holds it on either kind of column
     roots = np.concatenate([v for _, v in hits]).astype(np.int64)
-    flat = iter(roots[np.lexsort((roots, rows))].tolist())
-    return [tuple(itertools.islice(flat, n)) for n in np.bincount(rows, minlength=len(p)).tolist()]
+    flat = iter(roots[np.lexsort((roots, cols))].tolist())
+    return [tuple(itertools.islice(flat, n)) for n in np.bincount(cols, minlength=len(p)).tolist()]
 
 
 def roots_mod_primes(f, primes):
     """The roots of f mod each prime p < 2^63 of an int64 array, as sorted
     tuples in the order of `primes`: Cantor-Zassenhaus over all primes at
-    once, in blocks of _ROOT_BLOCK rows. Rows are grouped by the degree of
-    f mod p and made monic; gcd(f, X^p - X) keeps the distinct roots, which
-    equal-degree splitting separates. p = 2 is answered by evaluation.
-    A block runs on int64 rows while d (p - 1)^2 < 2^63 for its largest
-    prime, and on Python-int rows past that, so every prime is served
-    exactly; ascending primes switch only in the trailing blocks. This is
+    once. Columns are grouped by the degree of f mod p and made monic;
+    gcd(f, X^p - X) keeps the distinct roots, which equal-degree splitting
+    separates. p = 2 is answered by evaluation. A prime with
+    d (p - 1)^2 < 2^63 runs on int64 entries, a wider one on Python ints,
+    so every prime is served exactly: the primes are cut, in input order,
+    into runs of one kind, and each run into blocks of _ROOT_BLOCK. This is
     the package's only root finder mod p. Refuses a prime modulo which f
     vanishes (the smallest one), and a prime past the int64 range."""
     require_int64(max(primes, default=0), "prime p")
@@ -333,16 +335,19 @@ def roots_mod_primes(f, primes):
     vanish = _int_mod(math.gcd(*f.coeffs), primes) == 0
     if vanish.any():
         raise ValueError(f"polynomial {f} is identically zero mod {int(primes[vanish].min())}")
+    # a coefficient of a product sums up to d terms below (p - 1)^2
+    wide = primes - 1 > math.isqrt((INT64_LIMIT - 1) // max(f.degree, 1))
+    cuts = [0, *(np.flatnonzero(np.diff(wide)) + 1).tolist(), len(primes)]
     # the splitting constants only steer the search: the sorted roots do not
     # depend on them
     rng = random.Random(0)
     out = []
-    for start in range(0, len(primes), _ROOT_BLOCK):
-        block = primes[start : start + _ROOT_BLOCK]
-        # a column of a row product sums up to d terms below (p - 1)^2
-        if f.degree * (int(block.max()) - 1) ** 2 >= INT64_LIMIT:
-            block = block.astype(object)
-        out += _block_roots(np.stack([_int_mod(c, block) for c in f.coeffs], axis=1), block, rng)
+    for lo, hi in itertools.pairwise(cuts):
+        for start in range(lo, hi, _ROOT_BLOCK):
+            block = primes[start : min(start + _ROOT_BLOCK, hi)]
+            if wide[lo]:
+                block = block.astype(object)
+            out += _block_roots(np.stack([_int_mod(c, block) for c in f.coeffs]), block, rng)
     return out
 
 

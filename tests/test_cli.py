@@ -185,6 +185,22 @@ def test_explicit_H_over_budget_is_refused(run_cli, tmp_path, capsys):
     assert "spectrum.json" in listdir(out)
 
 
+def test_sweep_et_spectrum_over_budget_is_refused(run_cli, tmp_path, capsys):
+    # at x = 30 the automatic H is 48 and the largest A_q holds 2 points,
+    # so the largest spectrum has 2 * (2*48 + 1)^2 = 18818 terms
+    args = ["sweep", "--system", "graph:1,0,1:0,0,1", "--ladder", "30", "--quiet"]
+    out = tmp_path / "sb"
+    run_cli([*args, "--budget", "1000", "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "over budget 1000" in err
+    assert listdir(out) == ["config.txt"]
+    run_cli([*args, "--budget", "18817", "--out", out], expect=1)
+    assert "needs 18818 terms, over budget 18817" in capsys.readouterr().err
+    run_cli([*args, "--budget", "18818", "--out", out])
+    report = read_json(out / "report.json")
+    assert report["rows"][0][report["columns"].index("method")] == "erdos_turan"
+
+
 def test_table_refuses_root_count_limit(run_cli, tmp_path, capsys):
     # refused before the sieve, so no report and no long pass
     out = tmp_path / "big"

@@ -624,6 +624,46 @@ def test_roots_mod_primes_mixed_row_kinds(monkeypatch):
     assert got == [tuple(sorted({a % p for a in chosen})) for p in primes]
 
 
+def test_roots_mod_primes_blocks_never_mix_kinds(monkeypatch):
+    # a wide prime between small ones gets a block of its own, and the
+    # small primes on either side of it stay on int64
+    blocks = []
+    block_roots = generators._block_roots
+
+    def spy(coeffs, p, rng):
+        blocks.append((coeffs.dtype, p.tolist()))
+        return block_roots(coeffs, p, rng)
+
+    monkeypatch.setattr(generators, "_block_roots", spy)
+    primes = [3, 5, 7, 11, 13, 2**61 - 1, 17, 19, 23, 29, 31]
+    chosen = (2, 9, 2**40)
+    got = roots_mod_primes(_with_roots(chosen), primes)
+    assert [kind for kind, _ in blocks] == [np.int64, object, np.int64]
+    assert blocks[1][1] == [2**61 - 1]
+    assert got == [tuple(sorted({a % p for a in chosen})) for p in primes]
+
+
+def test_roots_mod_primes_invariant_under_blocks_and_tries(monkeypatch):
+    # blocks of 7 cut the runs of each kind many times over, and a single
+    # splitting constant per round sends many factors back whole; the roots
+    # may not change. The primes are unsorted, repeat, include 2, and mix
+    # wide primes into small ones; the leading coefficients of
+    # _hard_polys vanish mod some of the small primes.
+    monkeypatch.setattr(generators, "_ROOT_BLOCK", 7)
+    monkeypatch.setattr(generators, "_SPLIT_TRIES", 1)
+    rng = random.Random(76)
+    wide = [2**61 - 1, 2147483659]
+    small = [2, 3, 5, 7, 11, 13, 101, 7919, 104729] + rng.sample(prime_array(10**4).tolist(), 12)
+    primes = small + small[:6] + wide * 2
+    rng.shuffle(primes)
+    for f in _hard_polys(rng) + [_with_roots((1, 1, 5, 2**20, 3**12))]:
+        got = roots_mod_primes(f, primes)
+        assert got == [tuple(_split_roots(f, p)) for p in primes], f.coeffs
+        for p, roots in zip(primes, got):
+            if p not in wide:
+                assert roots == tuple(sorted(brute_poly_roots(f, p))), (f.coeffs, p)
+
+
 def test_pow_mod_array_elementwise():
     rng = random.Random(72)
     xs = np.array([rng.randrange(0, 10**9) for _ in range(200)], dtype=np.int64)
