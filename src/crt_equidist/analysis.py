@@ -222,7 +222,6 @@ def interval_discrepancy(ps):
         raise ValueError(f"interval discrepancy requires n=1, got n={ps.dimension}")
     q = ps.denominator
     raw = ps.array[:, 0]
-    require_int64(len(raw) * q, "N*q")
     u, counts = np.unique(raw, return_counts=True)
     nums, starts, ends = _closed_arc_scan(u, counts, np.array([q]), np.array([len(u)]))
     num, i, j = int(nums[0]), int(starts[0]), int(ends[0])
@@ -236,45 +235,23 @@ def interval_discrepancy(ps):
 
 
 def _axis_candidates(coord, q):
-    """Per-axis interval candidates for the 2-dimensional exact scan.
+    """Per-axis arc candidates for the 2-dimensional exact scan: row a*K + b
+    is the arc from u[a] to u[b] over the K sorted distinct coordinates u,
+    and the full circle is the last row.
 
-    Closed candidates attain the positive side of the sup; open ones (point
-    coordinates excluded, plus full-minus-point and the full circle) give the
-    limit values for the negative side. Returns boolean membership matrices
-    over the N points and integer lengths."""
+    Closed arcs attain the positive side of the sup and wrap past 0 when
+    b < a. Open arcs (point coordinates excluded) give the limit values for
+    the negative side and wrap when b <= a, so for a = b the open arc is the
+    circle without u[a]. Returns boolean membership matrices over the N
+    points and int64 lengths."""
     u = np.unique(coord)
-    K = len(u)
-    N = len(coord)
-    mc = np.empty((K * K + 1, N), dtype=bool)
-    lc = np.empty(K * K + 1, dtype=np.int64)
-    mo = np.empty((K * K + 1, N), dtype=bool)
-    lo = np.empty(K * K + 1, dtype=np.int64)
-    idx = 0
-    for a in range(K):
-        ge = coord >= u[a]
-        gt = coord > u[a]
-        for b in range(K):
-            if b >= a:
-                mc[idx] = ge & (coord <= u[b])
-                lc[idx] = u[b] - u[a]
-            else:
-                mc[idx] = ge | (coord <= u[b])
-                lc[idx] = u[b] - u[a] + q
-            if b > a:
-                mo[idx] = gt & (coord < u[b])
-                lo[idx] = u[b] - u[a]
-            elif b < a:
-                mo[idx] = gt | (coord < u[b])
-                lo[idx] = u[b] - u[a] + q
-            else:
-                mo[idx] = coord != u[a]
-                lo[idx] = q
-            idx += 1
-    mc[idx] = True
-    lc[idx] = q
-    mo[idx] = True
-    lo[idx] = q
-    return u, mc, lc, mo, lo
+    a, b = divmod(np.arange(len(u) ** 2), len(u))
+    lo, hi, c = u[a, None], u[b, None], coord[None, :]
+    full = np.ones((1, len(coord)), dtype=bool)
+    mc = np.vstack([np.where((b < a)[:, None], (c >= lo) | (c <= hi), (c >= lo) & (c <= hi)), full])
+    mo = np.vstack([np.where((b <= a)[:, None], (c > lo) | (c < hi), (c > lo) & (c < hi)), full])
+    span = u[b] - u[a]
+    return mc, np.append(span + q * (b < a), q), mo, np.append(span + q * (b <= a), q)
 
 
 def _box_exact_2d(ps, budget):
@@ -282,8 +259,8 @@ def _box_exact_2d(ps, budget):
     pts = ps.array
     N = len(pts)
     require_int64(N * q * q, "N*q^2")
-    ux, mcx, lcx, mox, lox = _axis_candidates(pts[:, 0], q)
-    uy, mcy, lcy, moy, loy = _axis_candidates(pts[:, 1], q)
+    mcx, lcx, mox, lox = _axis_candidates(pts[:, 0], q)
+    mcy, lcy, moy, loy = _axis_candidates(pts[:, 1], q)
     cost = len(lcx) * len(lcy)
     if cost * N > budget:
         raise ValueError(
@@ -325,7 +302,8 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     """Discrepancy over closed boxes on the n-torus. Exact mode enumerates
     per-axis candidate intervals with endpoints at point coordinates
     (n <= 2); bounds mode pairs a seeded coordinate-restricted random
-    search (lower bound) with an Erdos-Turan bound (upper)."""
+    search (lower bound) with an Erdos-Turan bound (upper), whose H is
+    refused over `budget` before the search runs."""
     if ps.dimension == 1:
         return interval_discrepancy(ps)
     if mode == "exact":
@@ -340,8 +318,10 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     n = ps.dimension
     pts = ps.array
     N = len(pts)
-    if H is not None:
-        _require_spectrum_budget(N, n, H, budget)
+    if H is None:
+        # the largest H <= 64 whose spectrum fits the budget, at least 1
+        H = max((h for h in range(2, 65) if N * (2 * h + 1) ** n <= budget), default=1)
+    _require_spectrum_budget(N, n, H, budget)
     rng = _random.Random(seed)
     axes = [np.unique(pts[:, a]) for a in range(n)]
     qn = q**n
@@ -361,10 +341,6 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
             best_num = cand
             best_box = [corner_lo, corner_hi]
     best = best_num / den
-    if H is None:
-        H = 1
-        while (2 * (H + 1) + 1) ** n * N <= budget and H < 64:
-            H += 1
     upper = erdos_turan_bound(weyl_spectrum(ps, H))
     return DiscrepancyResult(
         method="sampled",
@@ -377,9 +353,8 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
 
 
 def _require_spectrum_budget(N, n, H, budget):
-    """Refuse an explicit cutoff H whose spectrum of N points would hold
-    N*(2H+1)^n terms, over `budget`: the rule the automatic H obeys, checked
-    before anything is allocated."""
+    """Refuse a cutoff H whose spectrum of N points would hold N*(2H+1)^n
+    terms, over `budget`, before anything is allocated."""
     terms = N * (2 * H + 1) ** n
     if terms > budget:
         raise ValueError(f"Weyl spectrum at H={H} needs {terms} terms, over budget {budget}; lower H")

@@ -45,34 +45,6 @@ def _fmt_int_tuple(value):
     return ",".join(str(t) for t in value)
 
 
-# per-key (parse, format) used by both the config file and the echo
-_CONFIG_CODECS = {
-    "system": (str, str),
-    "ladder": (_parse_int_tuple, _fmt_int_tuple),
-    "x": (int, str),
-    "k": (int, str),
-    "q": (int, str),
-    "theorem": (int, str),
-    "weighting": (str, str),
-    "H": (str, str),
-    "disc_mode": (str, str),
-    "budget": (int, str),
-    "seed": (int, str),
-    "alpha": (float, repr),
-    "epsilon": (str, str),
-    "pseudo": (str, str),
-    "poly": (str, str),
-    "profile": (str, str),
-    "f1": (str, str),
-    "f2": (str, str),
-    "a": (int, str),
-    "p_limit": (int, str),
-    "curve": (str, str),
-    "p_set": (_parse_int_tuple, _fmt_int_tuple),
-    "h_set": (_parse_int_tuple, _fmt_int_tuple),
-}
-
-
 @dataclass
 class ExperimentConfig:
     """Settings shared by all experiment kinds; drivers read the keys they
@@ -151,6 +123,17 @@ class ExperimentConfig:
                 continue
             out.append(f"{f.name} = {_CONFIG_CODECS[f.name][1](value)}")
         return out
+
+
+# per-key (parse, format) used by both the config file and the echo,
+# chosen by each field's annotation
+_CODECS_BY_TYPE = {
+    str: (str, str),
+    int: (int, str),
+    float: (float, repr),
+    tuple: (_parse_int_tuple, _fmt_int_tuple),
+}
+_CONFIG_CODECS = {f.name: _CODECS_BY_TYPE[f.type] for f in _dc_fields(ExperimentConfig)}
 
 
 def _jsonable(value):

@@ -98,22 +98,14 @@ class BivariatePoly:
 
     def eval_grid(self, m):
         """Values mod m on the full grid, shape (m, m), entry [x, y]."""
-        xs = np.arange(m, dtype=np.int64)
-        by_dy = {}
+        rows = [[0] * (self.deg_x + 1) for _ in range(self.deg_y + 1)]
         for dx, dy, c in self.terms:
-            by_dy.setdefault(dy, {})[dx] = c % m
-        # per y-degree coefficient vectors c_j(x), then Horner in y
-        cols = []
-        for dy in range(max(by_dy, default=0) + 1):
-            cx = by_dy.get(dy, {})
-            acc = np.zeros(m, dtype=np.int64)
-            for d in range(max(cx, default=0), -1, -1):
-                acc = (acc * xs + cx.get(d, 0)) % m
-            cols.append(acc)
-        ys = np.arange(m, dtype=np.int64)
+            rows[dy][dx] = c
+        # Horner in y over the coefficient polynomials c_j(x)
+        r = np.arange(m, dtype=np.int64)
         grid = np.zeros((m, m), dtype=np.int64)
-        for vec in reversed(cols):
-            grid = (grid * ys[None, :] + vec[:, None]) % m
+        for cx in reversed(rows):
+            grid = (grid * r[None, :] + IntPolynomial(cx)(r, m)[:, None]) % m
         return grid
 
     @classmethod

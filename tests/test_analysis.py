@@ -575,6 +575,62 @@ def test_box_disc_bounds_never_exceed_exact():
         assert lo <= float(exact) + 1e-12 <= hi + 1e-12
 
 
+def _axis_candidates_loop(coord, q):
+    """The pairwise loop that the vectorized `_axis_candidates` replaced,
+    without its unused `u` return."""
+    u = np.unique(coord)
+    K = len(u)
+    N = len(coord)
+    mc = np.empty((K * K + 1, N), dtype=bool)
+    lc = np.empty(K * K + 1, dtype=np.int64)
+    mo = np.empty((K * K + 1, N), dtype=bool)
+    lo = np.empty(K * K + 1, dtype=np.int64)
+    idx = 0
+    for a in range(K):
+        ge = coord >= u[a]
+        gt = coord > u[a]
+        for b in range(K):
+            if b >= a:
+                mc[idx] = ge & (coord <= u[b])
+                lc[idx] = u[b] - u[a]
+            else:
+                mc[idx] = ge | (coord <= u[b])
+                lc[idx] = u[b] - u[a] + q
+            if b > a:
+                mo[idx] = gt & (coord < u[b])
+                lo[idx] = u[b] - u[a]
+            elif b < a:
+                mo[idx] = gt | (coord < u[b])
+                lo[idx] = u[b] - u[a] + q
+            else:
+                mo[idx] = coord != u[a]
+                lo[idx] = q
+            idx += 1
+    mc[idx] = True
+    lc[idx] = q
+    mo[idx] = True
+    lo[idx] = q
+    return mc, lc, mo, lo
+
+
+def test_axis_candidates_equal_the_pairwise_loop():
+    rng = random.Random(238)
+    cases = []
+    for _ in range(400):
+        q = rng.randrange(1, 300)
+        N = rng.randrange(1, 40)
+        # few distinct values force repeated coordinates, one value gives K = 1
+        pool = rng.sample(range(q), rng.randrange(1, min(q, 12) + 1))
+        cases.append(([rng.choice(pool) for _ in range(N)], q))
+    big = 2**62 + 135
+    cases += [([0], big), ([big - 1] * 3, big), ([0, big - 1, 2**61, big - 1], big), ([5] * 7, 11)]
+    for coord, q in cases:
+        coord = np.array(coord, dtype=np.int64)
+        got, want = analysis._axis_candidates(coord, q), _axis_candidates_loop(coord, q)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), (coord, q)
+
+
 # ---------------------------------------------------------------------------
 # Erdos-Turan
 
@@ -815,6 +871,41 @@ def test_aggregate_region_mass():
         inside += sum(1 for (a,) in rs.points if Fraction(a, q) <= Fraction(1, 4))
     assert st.point_total == total
     assert st.region_mass == pytest.approx(inside / total, abs=1e-14)
+
+
+def _region_mass_by_fractions(system, x, region, weighting):
+    """Region mass over the nonempty A_q, q <= x, from exact coordinate
+    comparisons a_i/q in [lo_i, hi_i]."""
+    rows = []
+    for q in range(1, x + 1):
+        rs = residue_set(system, q)
+        if rs.size:
+            inside = sum(all(lo <= Fraction(c, q) <= hi for c, (lo, hi) in zip(pt, region)) for pt in rs.points)
+            rows.append((rs.size, inside))
+    if weighting == "uniform":
+        return sum(Fraction(c, size) for size, c in rows) / len(rows)
+    return Fraction(sum(c for _, c in rows), sum(size for size, _ in rows))
+
+
+@pytest.mark.parametrize("spec, region, disc_mode, method", [
+    ("graph:1,0,1:0,1", ((Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(1))), "auto", "erdos_turan"),
+    ("graph:1,0,1:0,1", ((Fraction(0), Fraction(1, 2)), (Fraction(1, 3), Fraction(1))), "exact", "exact"),
+    ("graph:1,0,1:0,1", ((Fraction(1, 5), Fraction(4, 5)), (Fraction(0), Fraction(2, 5))), "exact", "exact"),
+    ("poly:1,0,1", (Fraction(1, 3), Fraction(5, 7)), "bounds", "erdos_turan"),
+    ("poly:1,0,1", (Fraction(0), Fraction(1, 2)), "bounds", "erdos_turan"),
+])
+def test_per_q_region_mass_matches_fraction_count(spec, region, disc_mode, method):
+    # the per-modulus path: 2-D Erdos-Turan, 2-D exact and 1-D bounds
+    system = build_system(spec)
+    reg = region if system.dimension == 2 else (region,)
+    for weighting in ("uniform", "rho"):
+        st = aggregate_stats(system, 60, weighting=weighting, region=region, disc_mode=disc_mode, H=2)
+        assert st.method == method
+        want = _region_mass_by_fractions(system, 60, reg, weighting)
+        if weighting == "rho":
+            assert st.region_mass == float(want)
+        else:
+            assert st.region_mass == pytest.approx(float(want), rel=1e-14)
 
 
 def test_aggregate_validation():

@@ -185,6 +185,19 @@ def test_explicit_H_over_budget_is_refused(run_cli, tmp_path, capsys):
     assert "spectrum.json" in listdir(out)
 
 
+def test_disc_bounds_automatic_H_over_budget_is_refused(run_cli, tmp_path, capsys):
+    # A_65 holds 4 points, so even the smallest automatic H = 1 needs
+    # 4 * (2*1 + 1)^2 = 36 terms
+    args = ["disc", "--system", "graph:1,0,1:0,0,1", "--q", "65", "--disc-mode", "bounds", "--quiet"]
+    out = tmp_path / "ab"
+    run_cli([*args, "--budget", "35", "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "needs 36 terms, over budget 35" in err
+    assert listdir(out) == ["config.txt"]
+    run_cli([*args, "--budget", "36", "--out", out])
+    assert read_json(out / "result.json")["H"] == 1
+
+
 def test_sweep_et_spectrum_over_budget_is_refused(run_cli, tmp_path, capsys):
     # at x = 30 the automatic H is 48 and the largest A_q holds 2 points,
     # so the largest spectrum has 2 * (2*48 + 1)^2 = 18818 terms

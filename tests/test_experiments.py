@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crt_equidist import analysis, crt_sets
+from crt_equidist import analysis, crt_sets, experiments
 from crt_equidist.crt_sets import LocalSystem, save_local_system
 from crt_equidist.experiments import (
     ExperimentConfig,
@@ -51,6 +51,20 @@ def test_config_round_trip():
         key, _, value = line.partition(" = ")
         mapping[key] = value
     assert ExperimentConfig.from_mapping(mapping) == cfg
+
+
+def test_config_codecs_follow_the_field_annotations():
+    # the per-key table that the annotation-derived codecs replaced
+    tup = (experiments._parse_int_tuple, experiments._fmt_int_tuple)
+    string, integer, real = (str, str), (int, str), (float, repr)
+    table = {
+        "system": string, "ladder": tup, "x": integer, "k": integer, "q": integer, "theorem": integer,
+        "weighting": string, "H": string, "disc_mode": string, "budget": integer, "seed": integer,
+        "alpha": real, "epsilon": string, "pseudo": string, "poly": string, "profile": string,
+        "f1": string, "f2": string, "a": integer, "p_limit": integer, "curve": string, "p_set": tup,
+        "h_set": tup,
+    }
+    assert list(experiments._CONFIG_CODECS.items()) == list(table.items())
 
 
 def test_config_validation():

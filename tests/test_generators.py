@@ -229,6 +229,39 @@ def test_root_map_prefill_matches_rule(make):
     assert bulk.local_set(3, 2).tolist() == single.local_set(3, 2).tolist()
 
 
+def _eval_grid_coeff_vectors(poly, m):
+    """The evaluator that `BivariatePoly.eval_grid` used before it called
+    `IntPolynomial`: Horner in x on each y-degree's coefficients, then in y."""
+    xs = np.arange(m, dtype=np.int64)
+    by_dy = {}
+    for dx, dy, c in poly.terms:
+        by_dy.setdefault(dy, {})[dx] = c % m
+    cols = []
+    for dy in range(max(by_dy, default=0) + 1):
+        cx = by_dy.get(dy, {})
+        acc = np.zeros(m, dtype=np.int64)
+        for d in range(max(cx, default=0), -1, -1):
+            acc = (acc * xs + cx.get(d, 0)) % m
+        cols.append(acc)
+    grid = np.zeros((m, m), dtype=np.int64)
+    for vec in reversed(cols):
+        grid = (grid * xs[None, :] + vec[:, None]) % m
+    return grid
+
+
+def test_eval_grid_equals_coefficient_vector_horner():
+    rng = random.Random(99)
+    for _ in range(400):
+        terms = tuple((rng.randrange(6), rng.randrange(6), rng.randint(-10**20, 10**20))
+                      for _ in range(rng.randrange(0, 8)))
+        poly = BivariatePoly(terms)
+        m = rng.randrange(1, 60)
+        got, want = poly.eval_grid(m), _eval_grid_coeff_vectors(poly, m)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (terms, m)
+        x, y = rng.randrange(m), rng.randrange(m)
+        assert got[x, y] == poly(x, y, m) % m
+
+
 def test_bezout_worked_pair():
     f1 = BivariatePoly(((3, 0, 1), (0, 3, 1), (0, 0, -1)))  # X^3 + Y^3 - 1
     f2 = BivariatePoly(((0, 2, 1), (3, 0, -1), (0, 0, 2)))  # Y^2 - X^3 + 2
