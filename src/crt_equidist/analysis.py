@@ -248,8 +248,10 @@ def _axis_candidates(coord, q):
     a, b = divmod(np.arange(len(u) ** 2), len(u))
     lo, hi, c = u[a, None], u[b, None], coord[None, :]
     full = np.ones((1, len(coord)), dtype=bool)
-    mc = np.vstack([np.where((b < a)[:, None], (c >= lo) | (c <= hi), (c >= lo) & (c <= hi)), full])
-    mo = np.vstack([np.where((b <= a)[:, None], (c > lo) | (c < hi), (c > lo) & (c < hi)), full])
+    ge, le = c >= lo, c <= hi
+    mc = np.vstack([np.where((b < a)[:, None], ge | le, ge & le), full])
+    gt, lt = c > lo, c < hi
+    mo = np.vstack([np.where((b <= a)[:, None], gt | lt, gt & lt), full])
     span = u[b] - u[a]
     return mc, np.append(span + q * (b < a), q), mo, np.append(span + q * (b <= a), q)
 
