@@ -320,10 +320,11 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     n = ps.dimension
     pts = ps.array
     N = len(pts)
-    if H is None:
+    h_given = H is not None
+    if not h_given:
         # the largest H <= 64 whose spectrum fits the budget, at least 1
         H = max((h for h in range(2, 65) if N * (2 * h + 1) ** n <= budget), default=1)
-    _require_spectrum_budget(N, n, H, budget)
+    _require_spectrum_budget(N, n, H, budget, h_given)
     rng = _random.Random(seed)
     axes = [np.unique(pts[:, a]) for a in range(n)]
     qn = q**n
@@ -354,12 +355,14 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     )
 
 
-def _require_spectrum_budget(N, n, H, budget):
+def _require_spectrum_budget(N, n, H, budget, h_given):
     """Refuse a cutoff H whose spectrum of N points would hold N*(2H+1)^n
-    terms, over `budget`, before anything is allocated."""
+    terms, over `budget`, before anything is allocated. The advice names
+    what the caller chose: H where it was given, else the budget."""
     terms = N * (2 * H + 1) ** n
     if terms > budget:
-        raise ValueError(f"Weyl spectrum at H={H} needs {terms} terms, over budget {budget}; lower H")
+        advice = "lower H" if h_given else "H was chosen automatically; raise --budget"
+        raise ValueError(f"Weyl spectrum at H={H} needs {terms} terms, over budget {budget}; {advice}")
 
 
 def erdos_turan_bound(spectrum):
@@ -555,7 +558,7 @@ def aggregate_stats(
             disc = box_discrepancy(ps, mode="exact", budget=budget).value
             method = "exact"
         else:
-            _require_spectrum_budget(len(pts), n, h_val, budget)
+            _require_spectrum_budget(len(pts), n, h_val, budget, h_given=isinstance(H, int))
             disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
             method = "erdos_turan"
         mass_count = None

@@ -298,7 +298,7 @@ def _cmd_disc(cfg, writer):
     mode = "exact" if cfg.disc_mode == "auto" else cfg.disc_mode
     h_int = None if cfg.H == "auto" else int(cfg.H)
     if h_int is not None:
-        _require_spectrum_budget(rs.size, system.dimension, h_int, cfg.budget)
+        _require_spectrum_budget(rs.size, system.dimension, h_int, cfg.budget, h_given=True)
     result = box_discrepancy(ps, mode=mode, budget=cfg.budget, seed=cfg.seed, H=h_int)
     payload = result.to_json()
     payload["rho"] = rs.size

@@ -307,8 +307,10 @@ def run_theorem_sweep(config):
 # ---------------------------------------------------------------------------
 # root-count tables
 
-# the float64 quotient below is exact while p^2 < 2^51
+# the float64 quotient below is exact while p^(B+1) < 2^51 for B steps per
+# reduction: one step below 2^25, two below 2^17
 _ROOT_COUNT_LIMIT = 2**25
+_PAIR_LIMIT = 2**17
 # steps whose residues are compared with the root target at once
 _COUNT_BLOCK = 8
 
@@ -323,40 +325,64 @@ def _check_root_count_limit(bound, what):
 def _root_count_chunk(pp, P):
     """Root counts of a pseudo-polynomial for sorted nonempty primes P < 2^25.
 
-    One shared pass of f(n) = 1 + sign*n*f(n-1): column j tracks f mod P[j]
-    and retires once n reaches P[j], so the pass costs sum(P) steps.
+    One shared pass of F(n) = k_n F(n-1) + 1, with k_n = sign*n and
+    F(0) = 1: column j tracks F mod P[j] through the steps n < P[j].
 
-    A residue F is held in float64 as G = F + 1/2. With k = sign*n, one step
-    forms the half-integer t = G*k + (3/2 - k/2) = (k*F + 1) + 1/2 and sets
-    G = t - floor(t * (1/P))*P. t/P lies at least 1/(2P) from an integer and
-    the rounding error of t * (1/P) is at most P*2^-52, so the floor is the
-    exact quotient while P^2 < 2^51, and every value stays an exact multiple
-    of 1/2 below 2^52. The G values of _COUNT_BLOCK steps fill the rows of
-    one buffer, which is compared with target + 1/2 once; a column whose
-    prime p falls inside the block holds NaN for its steps n >= p."""
+    A residue F is held in float64 as G = F + 1/2 and advanced B steps per
+    reduction: B = 2 while the largest prime is below 2^17, else B = 1.
+    With a = k_n ... k_{n+B-1} and d the image of 0 under those steps
+    (d = 1 for B = 1, d = k_{n+1} + 1 for B = 2), one reduction forms the
+    half-integer t = a*G + (d + 1/2 - a/2) = (a*F + d) + 1/2 and sets
+    G = t - floor(t * (1/P))*P. Since |t| < P^(B+1), t/P lies at least
+    1/(2P) from an integer and the rounding error of t * (1/P) is at most
+    P^B * 2^-52, so the floor is the exact quotient while P^(B+1) < 2^51
+    (P < 2^25 for B = 1, P < 2^17 for B = 2), and every value stays an
+    exact multiple of 1/2 below 2^52.
+
+    The pass reads F only after the last step of each group. A root at that
+    step leaves F = T, the root target. For B = 2, a root at the pair's
+    first step n leaves F = k_{n+1}*T + 1, because k_{n+1} is a unit mod p
+    for n + 1 <= p - 1. For T = 0 (f1, f2) both read G < B. For f3 (T = 1,
+    sign -1) the first-step image is p - n, so that hit reads
+    G + n - 1/2 = p.
+
+    Groups start at n = 1, 1 + B, ..., so the _COUNT_BLOCK steps of one block
+    fill the _COUNT_BLOCK/B rows of one buffer, which is compared with the
+    hit rule once; a column whose steps end inside the block holds NaN in
+    its later rows. An odd prime's last step p - 1 closes a pair; p = 2 has
+    only step 1 and is counted directly. The pass costs about sum(P)/B
+    reductions."""
     P = np.ascontiguousarray(P, dtype=np.int64)
     last = int(P[-1])
     _check_root_count_limit(last, "largest prime")
+    B = 2 if last < _PAIR_LIMIT else 1
     m = len(P)
     Pf = P.astype(np.float64)
     inv = 1.0 / Pf
-    hit = pp.root_target + 0.5
-    sign = float(pp.sign)
-    R = (1 % P == pp.root_target).astype(np.int64)
-    rows = np.empty((_COUNT_BLOCK, m))
-    rows[-1] = 1.5  # f(0) = 1
-    t = np.empty(m)
+    sign, T = pp.sign, pp.root_target
+    R = (1 % P == T).astype(np.int64)
     j = 0
-    for n0 in range(1, last, _COUNT_BLOCK):
-        while P[j] <= n0:
+    if P[0] == 2:
+        R[0] += pp.value(1) % 2 == 0
+        j = 1
+    rows = np.empty((_COUNT_BLOCK // B, m))
+    rows[-1] = 1.5  # F(0) = 1
+    t = np.empty(m)
+    # each row's first step, counted from the block's first step n0
+    lane = np.arange(0, _COUNT_BLOCK, B)
+    for n0 in range(1, last - B + 1, _COUNT_BLOCK):
+        # a column stays while its prime p leaves a whole group: n0 + B - 1 <= p - 1
+        while P[j] < n0 + B:
             j += 1
         # the last row holds the residues after step n0 - 1
         G, tj, invj, Pj = rows[-1, j:], t[j:], inv[j:], Pf[j:]
-        for r in range(_COUNT_BLOCK):
-            k = sign * (n0 + r)
+        for r, n in enumerate(range(n0, n0 + _COUNT_BLOCK, B)):
+            a, d = 1, 0
+            for s in range(n, n + B):
+                a, d = sign * s * a, sign * s * d + 1
             row = rows[r, j:]
-            np.multiply(G, k, out=tj)
-            np.add(tj, 1.5 - 0.5 * k, out=tj)
+            np.multiply(G, a, out=tj)
+            np.add(tj, d + 0.5 - 0.5 * a, out=tj)
             np.multiply(tj, invj, out=row)
             np.floor(row, out=row)
             np.multiply(row, Pj, out=row)
@@ -364,10 +390,19 @@ def _root_count_chunk(pp, P):
             G = row
         c = j
         while c < m and P[c] < n0 + _COUNT_BLOCK:
-            rows[P[c] - n0 :, c] = np.nan
+            rows[(P[c] - n0) // B :, c] = np.nan
             c += 1
+        block = rows[:, j:]
+        if T == 0:
+            # G = 1/2 is a root at the group's last step, G = 3/2 at a pair's first
+            hits = block < B
+        else:
+            hits = block == T + 0.5
+            if B == 2:
+                # f3: a root at the pair's first step n leaves F = p - n
+                hits |= block + (lane + (n0 - 0.5))[:, None] == Pj
         # roots are rare, so count the few hits rather than sum every column
-        found = np.flatnonzero(rows[:, j:] == hit)
+        found = np.flatnonzero(hits)
         if found.size:
             np.add.at(R, j + found % (m - j), 1)
     return R
@@ -376,8 +411,14 @@ def _root_count_chunk(pp, P):
 def pseudo_root_counts(which, x):
     """(primes <= x, root count mod each prime) for a pseudo-polynomial.
 
-    One shared pass over all primes; total work is sum of p over p <= x.
-    Refuses x >= 2^25, past which the float64 kernel would not be exact."""
+    One shared pass over all primes (see _root_count_chunk). While the
+    largest prime is below 2^17 it advances two steps per float64
+    reduction, t = a*G + (d + 1/2 - a/2) with G = F + 1/2, a = k_n k_{n+1}
+    and d = k_{n+1} + 1, exact because p^3 < 2^51; a root at either step of
+    a pair is read from the residue after it (G < 2 for f1 and f2,
+    G = 3/2 or G + n - 1/2 = p for f3). The work is then about sum(p)/2
+    reductions, and sum(p) from 2^17 up. Refuses x >= 2^25, past which the
+    float64 kernel would not be exact."""
     pp = _as_pseudo(which)
     _check_root_count_limit(x, "x")
     primes = prime_array(x)

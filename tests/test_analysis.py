@@ -564,6 +564,15 @@ def test_box_disc_refuses_explicit_H_over_budget():
         box_discrepancy(ps, mode="bounds", H=10**6)
 
 
+def test_box_disc_budget_advice_follows_the_choice_of_H():
+    ps = torus([(1, 2), (2, 4), (3, 1), (4, 3)], 5, n=2)
+    # 4 points need 36 terms even at the automatic floor H = 1
+    with pytest.raises(ValueError, match="needs 36 terms, over budget 35; H was chosen automatically; raise --budget"):
+        box_discrepancy(ps, mode="bounds", budget=35)
+    with pytest.raises(ValueError, match="over budget 99; lower H"):
+        box_discrepancy(ps, mode="bounds", H=2, budget=99)
+
+
 def test_box_disc_bounds_never_exceed_exact():
     rng = random.Random(59)
     for _ in range(10):

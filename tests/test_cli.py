@@ -198,6 +198,26 @@ def test_disc_bounds_automatic_H_over_budget_is_refused(run_cli, tmp_path, capsy
     assert read_json(out / "result.json")["H"] == 1
 
 
+def test_spectrum_budget_advice_names_what_was_chosen(run_cli, tmp_path, capsys):
+    # the automatic H is already 1 here, so only the budget can move
+    out = tmp_path / "adv"
+    run_cli(["disc", "--system", "graph:1,0,1:0,0,1", "--q", "65", "--disc-mode", "bounds", "--budget", "35",
+             "--quiet", "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert "over budget 35" in err and "--budget" in err and "lower H" not in err
+    run_cli(["sweep", "--system", "graph:1,0,1:0,0,1", "--ladder", "30", "--budget", "1000", "--quiet",
+             "--out", out], expect=1)
+    err = capsys.readouterr().err
+    assert "over budget 1000" in err and "--budget" in err and "lower H" not in err
+    # an explicit H is the caller's to lower
+    run_cli(["disc", "--poly", "1,0,1", "--q", "65", "--H", "8", "--budget", "67", "--quiet", "--out", out],
+            expect=1)
+    assert "over budget 67; lower H" in capsys.readouterr().err
+    run_cli(["sweep", "--system", "graph:1,0,1:0,0,1", "--ladder", "30", "--H", "2", "--budget", "10",
+             "--quiet", "--out", out], expect=1)
+    assert "over budget 10; lower H" in capsys.readouterr().err
+
+
 def test_sweep_et_spectrum_over_budget_is_refused(run_cli, tmp_path, capsys):
     # at x = 30 the automatic H is 48 and the largest A_q holds 2 points,
     # so the largest spectrum has 2 * (2*48 + 1)^2 = 18818 terms

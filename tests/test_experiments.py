@@ -163,6 +163,16 @@ def test_root_counts_match_int64_loop(which):
         assert _root_count_chunk(pp, P).tolist() == _int64_root_counts(pp, P).tolist(), (which, x)
 
 
+@pytest.mark.parametrize("which", ["f1", "f2", "f3"])
+@pytest.mark.parametrize("primes", [[2, 3, 5, 131071], [2, 3, 131071, 131101]], ids=["pairs", "single"])
+def test_root_counts_match_int64_loop_at_pair_limit(which, primes):
+    # 131071 = 2^17 - 1 is the largest prime that the two-step reduction
+    # serves (p^3 < 2^51); with 131101 in the call every column steps singly
+    pp = PseudoPoly(which)
+    P = np.array(primes, dtype=np.int64)
+    assert _root_count_chunk(pp, P).tolist() == _int64_root_counts(pp, P).tolist()
+
+
 def test_root_counts_limit():
     with pytest.raises(ValueError, match="below 2\\^25"):
         pseudo_root_counts("f1", 2**25)
