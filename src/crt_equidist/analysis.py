@@ -59,6 +59,7 @@ class DiscrepancyResult:
     H: int = None
     seed: int = None
     fraction: Fraction = field(default=None, repr=False, compare=False)
+    spectrum: WeylSpectrum = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         out = {"q": self.q, "H": self.H, "method": self.method}
@@ -108,9 +109,10 @@ def weyl_sum(source, h):
 def _freq_box(n, H):
     """(box, weights) for dimension n and cutoff H, built once and shared:
     box holds the nonzero integer vectors with max-norm <= H as an (F, n)
-    int64 array, lexicographic (the `itertools.product` order), and weights
-    the matching Erdos-Turan weights M(h) = prod max(|h_i|, 1). Both arrays
-    are read-only."""
+    int64 array, lexicographic (the `itertools.product` order: the full grid
+    of (2H+1)^n vectors, first axis major, without its centre row, the zero
+    vector), and weights the matching Erdos-Turan weights
+    M(h) = prod max(|h_i|, 1). Both arrays are read-only."""
     box = np.indices((2 * H + 1,) * n, dtype=np.int64).reshape(n, -1).T - H
     box = box[box.any(axis=1)]
     weights = np.prod(np.maximum(np.abs(box), 1), axis=1)
@@ -118,28 +120,74 @@ def _freq_box(n, H):
     return box, weights
 
 
+# int64 elements (points x frequencies) per column block of `weyl_spectrum`
+_WEYL_BLOCK = 1 << 18
+
+
+def _add_mod(a, b, q):
+    """(a + b) mod q for broadcastable int64 arrays a, b in [0, q): the sum
+    stays below 2q - 1, so one conditional subtraction reduces it."""
+    s = a + b
+    np.subtract(s, q, out=s, where=s >= q)
+    return s
+
+
 def weyl_spectrum(source, H):
     """W(h) for every nonzero h with max-norm <= H; `freqs` is the shared
     read-only box of `_freq_box`.
 
-    Each W(h) is the mean of e(d / q) over the reduced dot products d =
-    h.x mod q. When q <= N*F (N points, F frequencies) the phases come from
-    a table of e(d / q) for d < q, which is no larger than the (N, F) array
-    it fills; otherwise `exp` runs on the dot products directly. Both give
-    the same bits: (2j*pi/q) * d has real part exactly 0 and imaginary part
-    (2*pi/q) * d rounded once, so `exp` sees the same input either way."""
+    Each W(h) is the mean of e(d / q) over the dot products d = h.x mod q.
+    No (N, F) product is formed (N points, F frequencies): axis i gives the
+    (N, 2H+1) table of x_i * h mod q for h = -H..H, and the tables are added
+    one axis at a time, first axis major as the box orders it. Axes 2..n
+    are folded once, with q subtracted from each sum that reaches q. The
+    first axis is added to that fold in blocks of h_1 values, about
+    `_WEYL_BLOCK` elements and at least two columns each, and each block's
+    column means are taken on their own. numpy sums a C-ordered (N, w)
+    array along axis 0 row by row when w >= 2, so each mean has the bits of
+    the mean over the whole (N, F) array. The blocks cover the full grid;
+    its centre column, the zero frequency, is dropped from its block.
+
+    When q <= N*F the phases come from a table of e(d / q) for d < q,
+    built once and repeated for q <= d < 2q, so the last sums index it
+    without a reduction; the table is at most twice the size of the (N, F)
+    array of phases. Otherwise `exp` runs on the reduced dot products. Both
+    give the same bits: (2j*pi/q) * d has real part exactly 0 and imaginary
+    part (2*pi/q) * d rounded once, so `exp` sees the same input either
+    way."""
     if H < 1:
         raise ValueError(f"H must be >= 1, got {H}")
     q, pts = _points_of(source)
-    n = pts.shape[1]
+    N, n = pts.shape
+    # |x_i * h| <= H*(q-1), and a sum of two reduced values stays below
+    # 2*(q-1) <= n*H*(q-1)
     require_int64(n * H * (q - 1), "n*H*(q-1)")
     freqs = _freq_box(n, H)[0]
-    dots = (pts @ freqs.T) % q
-    if q <= dots.size:
-        phases = np.exp((2j * np.pi / q) * np.arange(q))[dots]
-    else:
-        phases = np.exp((2j * np.pi / q) * dots)
-    return WeylSpectrum(q=q, H=H, freqs=freqs, values=phases.mean(axis=0))
+    F = len(freqs)
+    side = np.arange(-H, H + 1, dtype=np.int64)
+    first, *others = [(pts[:, i, None] * side) % q for i in range(n)]
+    rest = np.zeros((N, 1), dtype=np.int64)
+    for part in others:
+        rest = _add_mod(rest[:, :, None], part[:, None, :], q).reshape(N, -1)
+    width = rest.shape[1]
+    table = np.tile(np.exp((2j * np.pi / q) * np.arange(q)), 2) if q <= N * F else None
+    step = max(2, _WEYL_BLOCK // (N * width))
+    # blocks of `step` values of h_1; the last takes the short remainder
+    # too, so no block is a single column
+    cuts = [0, *range(step, 2 * H + 2 - step, step), 2 * H + 1]
+    values, done = np.empty(F, dtype=complex), 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, b = first[:, lo:hi, None], rest[:, None, :]
+        if table is not None:
+            phases = table[(a + b).reshape(N, -1)]
+        else:
+            phases = np.exp((2j * np.pi / q) * _add_mod(a, b, q).reshape(N, -1))
+        means = phases.mean(axis=0)
+        if lo * width <= F // 2 < hi * width:
+            means = np.delete(means, F // 2 - lo * width)
+        values[done : done + len(means)] = means
+        done += len(means)
+    return WeylSpectrum(q=q, H=H, freqs=freqs, values=values)
 
 
 def frequency_modulus(h, q):
@@ -344,14 +392,15 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
             best_num = cand
             best_box = [corner_lo, corner_hi]
     best = best_num / den
-    upper = erdos_turan_bound(weyl_spectrum(ps, H))
+    spectrum = weyl_spectrum(ps, H)
     return DiscrepancyResult(
         method="sampled",
-        bounds=(best, upper),
+        bounds=(best, erdos_turan_bound(spectrum)),
         witness={"best_box": best_box},
         q=q,
         H=H,
         seed=seed,
+        spectrum=spectrum,
     )
 
 
@@ -369,15 +418,56 @@ def erdos_turan_bound(spectrum):
     """(3/2)^n * (1/H + sum over 0 < max-norm(h) <= H of |W(h)| / M(h)),
     clamped to 1, with M(h) = prod max(|h_i|, 1). A spectrum whose `freqs`
     is the shared box of `_freq_box` reads the cached weights; any other
-    gets them from its own `freqs`."""
+    gets them from its own `freqs`. The sum is `_exact_sum`, the correctly
+    rounded sum that `math.fsum` gives."""
     n, H, freqs = spectrum.dimension, spectrum.H, spectrum.freqs
     # the cache is read only for a spectrum of the box's size, so a lookup
     # never builds a box larger than `freqs`
     box, weights = _freq_box(n, H) if len(freqs) == (2 * H + 1) ** n - 1 else (None, None)
     if freqs is not box:
         weights = np.prod(np.maximum(np.abs(freqs), 1), axis=1)
-    s = math.fsum((np.abs(spectrum.values) / weights).tolist())
+    terms = np.abs(spectrum.values)
+    terms /= weights
+    s = _exact_sum(terms)
     return min(1.0, 1.5**n * (1.0 / H + s))
+
+
+# most terms `_exact_sum` adds exactly: each partial sums at most this many
+# 27-bit integers, which stays below 2^53
+_EXACT_SUM_TERMS = 1 << 26
+
+
+def _exact_sum(t):
+    """math.fsum(t.tolist()) for a float64 array t of nonnegative terms,
+    without building the list.
+
+    Each term is m * 2^(e-53) with m a 53-bit integer (`frexp`), split as
+    m = a * 2^26 + b with a < 2^27 and b < 2^26. Per exponent e, one
+    `bincount` sums the a and another the b. With at most 2^26 terms these
+    sums are integers below 2^53, so float64 holds them exactly, and
+    scaled by 2^(e-27) and 2^(e-53) they stay exact: their lowest bit is
+    no finer than the terms' own, 2^-1074 at the least, and while e <= 960
+    they cannot overflow. These partials add up to the exact sum of the
+    terms, and `fsum` of them rounds it once, correctly, as `fsum` of the
+    terms does. Empty or non-finite input, more terms or a larger exponent
+    go to `fsum` of the list."""
+    frac, exp = np.frexp(t)
+    if not 0 < len(t) <= _EXACT_SUM_TERMS or not np.isfinite(frac).all() or exp.max() > 960:
+        return math.fsum(t.tolist())
+    lo, hi = int(exp.min()), int(exp.max())
+    # in place and exact: frac * 2^27 splits into its integer part `top`
+    # and a fraction that 2^26 scales to the integer `frac`
+    frac *= 2.0**27
+    top = np.floor(frac)
+    frac -= top
+    frac *= 2.0**26
+    exp -= lo
+    power = np.arange(lo, hi + 1)
+    partials = np.concatenate((
+        np.ldexp(np.bincount(exp, weights=top), power - 27),
+        np.ldexp(np.bincount(exp, weights=frac), power - 53),
+    ))
+    return math.fsum(partials.tolist())
 
 
 # ---------------------------------------------------------------------------

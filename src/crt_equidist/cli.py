@@ -304,9 +304,9 @@ def _cmd_disc(cfg, writer):
     payload["rho"] = rs.size
     writer.write_text("result.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if h_int is not None:
-        writer.write_text(
-            "spectrum.json", json.dumps(weyl_spectrum(ps, h_int).to_json(), indent=2, sort_keys=True) + "\n"
-        )
+        # bounds mode built this spectrum for its Erdos-Turan bound
+        spectrum = result.spectrum if result.spectrum is not None else weyl_spectrum(ps, h_int)
+        writer.write_text("spectrum.json", json.dumps(spectrum.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 _HANDLERS = {

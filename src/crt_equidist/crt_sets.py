@@ -2,7 +2,6 @@
 statistics, and enumeration of the supported moduli."""
 
 import math
-import threading
 from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +22,7 @@ class LocalSystem:
     lexicographic order. `size_rule`, when given, answers cardinality queries
     without materializing the set. `bulk_rule`, when given, maps an int64
     array of primes to the list of their sets at v = 1 (see `prefill`).
-    Local hyperplane maxima and `local_profile` results are cached too,
-    under the same lock."""
+    Local hyperplane maxima and `local_profile` results are cached too."""
 
     def __init__(self, dimension, rule, support_limit=DEFAULT_SUPPORT, name="", size_rule=None, bulk_rule=None):
         if dimension < 1:
@@ -38,7 +36,6 @@ class LocalSystem:
         self._cache = {}
         self._hyperplane_max = {}
         self._profile = {}
-        self._lock = threading.Lock()
 
     def __repr__(self):
         return f"LocalSystem(n={self.dimension}, name={self.name!r})"
@@ -98,8 +95,7 @@ class LocalSystem:
         rows, seg = rows[keep], seg[keep]
         rows.setflags(write=False)
         ends = np.bincount(seg, minlength=len(keys)).cumsum().tolist()
-        with self._lock:
-            return [self._cache.setdefault(key, rows[a:b]) for key, a, b in zip(keys, [0] + ends, ends)]
+        return [self._cache.setdefault(key, rows[a:b]) for key, a, b in zip(keys, [0] + ends, ends)]
 
     def local_set(self, p, v=1):
         """The set for p^v: a read-only (L, n) int64 array, rows distinct and sorted."""
@@ -335,8 +331,7 @@ def hyperplane_max_local(system, p, v=1):
     if got is not None:
         return got
     best = _scan_hyperplane_max(system, p, v)
-    with system._lock:
-        return system._hyperplane_max.setdefault(key, best)
+    return system._hyperplane_max.setdefault(key, best)
 
 
 def hyperplane_max(system, q):
@@ -371,8 +366,7 @@ def local_profile(system, x):
     profile = (primes, rho, np.array(lam, dtype=np.int64))
     for a in profile:
         a.setflags(write=False)
-    with system._lock:
-        return system._profile.setdefault(x, profile)
+    return system._profile.setdefault(x, profile)
 
 
 def iter_supported(system, x, k=None):

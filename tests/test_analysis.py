@@ -294,6 +294,126 @@ def test_et_bound_takes_weights_from_its_own_freqs():
     assert erdos_turan_bound(wide) == _direct_et(wide.freqs, wide.values, wide.H)
 
 
+# ---------------------------------------------------------------------------
+# the per-axis fold in column blocks, and the exact Erdos-Turan sum
+
+
+@pytest.mark.parametrize("g", ["0,0,1", "0,0,0,1", "1,1"])
+def test_unclamped_et_bits_on_every_2d_sweep_modulus(g):
+    # the 2-D sweep clamps every bound to 1; scaled by 1e-4, the bound of
+    # each of its moduli checks the weighted sum bit for bit
+    system = build_system(f"graph:1,0,1:{g}")
+    H = analysis._auto_H(system, 400)
+    moduli = [q for q, _, _ in iter_supported(system, 400)]
+    assert H == 61 and len(moduli) == 82
+    for q in moduli:
+        rs = residue_set(system, q)
+        assert _assert_same_bits(weyl_spectrum(fractional_points(rs), H), rs.array, q, H) < 1.0
+
+
+def test_weyl_spectrum_bits_in_three_dimensions_near_the_int64_limit():
+    # 3 * (q - 1) is the largest value below 2^63 of the form n*H*(q-1)
+    q = (2**63 - 1) // 3 + 1
+    rng = random.Random(3)
+    pts = [(q - 1, q - 1, q - 1), (0, q - 1, 1)] + [tuple(rng.randrange(q) for _ in range(3)) for _ in range(4)]
+    _assert_same_bits(weyl_spectrum(torus(pts, q, 3), 1), np.array(pts, dtype=np.int64), q, 1)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        weyl_spectrum(torus(pts, q + 1, 3), 1)
+
+
+# (n, q, N, H, block): blocks of two or more values of h_1, the last taking
+# the remainder, in the phase-table branch (q <= N*F) and the `exp` branch
+SMALL_BLOCK_CASES = [
+    (1, 101, 12, 9, 1),
+    (1, 50, 3, 10, 9),
+    (1, 100003, 9, 6, 1),
+    (2, 23, 5, 4, 60),
+    (2, 100003, 4, 3, 100),
+    (3, 7, 6, 2, 200),
+    (3, 65537, 3, 2, 1),
+]
+
+
+@pytest.mark.parametrize("n, q, N, H, block", SMALL_BLOCK_CASES)
+def test_weyl_spectrum_bits_over_several_column_blocks(monkeypatch, n, q, N, H, block):
+    step = max(2, block // (N * (2 * H + 1) ** (n - 1)))
+    assert (2 * H + 1) // step >= 2
+    monkeypatch.setattr(analysis, "_WEYL_BLOCK", block)
+    rng = random.Random(q + n)
+    pts = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(N)]
+    _assert_same_bits(weyl_spectrum(torus(pts, q, n), H), np.array(pts, dtype=np.int64), q, H)
+
+
+def _spread_floats(low, high):
+    """Nonnegative float64 values m * 2^e with e in [low, high], and zeros."""
+    mantissas = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
+    return st.one_of(st.just(0.0), st.builds(math.ldexp, mantissas, st.integers(low, high)))
+
+
+# every subnormal is k * 2^-1074 for some 0 < k < 2^52
+_SUBNORMALS = st.builds(lambda k: k * 5e-324, st.integers(1, 2**52 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_spread_floats(-1000, 10), max_size=300))
+def test_exact_sum_equals_fsum(terms):
+    t = np.array(terms, dtype=np.float64)
+    assert analysis._exact_sum(t) == math.fsum(terms)
+    # repeated terms carry through every bit of the per-exponent partials
+    assert analysis._exact_sum(np.tile(t, 50)) == math.fsum(terms * 50)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(_SUBNORMALS, _spread_floats(-1074, -1000), _spread_floats(-1000, 10)), max_size=60))
+def test_exact_sum_equals_fsum_down_to_subnormals(terms):
+    t = np.array(terms, dtype=np.float64)
+    assert analysis._exact_sum(t) == math.fsum(terms)
+    assert analysis._exact_sum(np.tile(t, 20)) == math.fsum(terms * 20)
+
+
+def _fsum_inputs(monkeypatch):
+    """The lists that `math.fsum` is given from now on."""
+    fsum, seen = math.fsum, []
+
+    def spy(values):
+        seen.append(list(values))
+        return fsum(seen[-1])
+
+    monkeypatch.setattr(math, "fsum", spy)
+    return seen
+
+
+@pytest.mark.parametrize("terms", [[], [1.0, math.inf, 0.5], [0.25, math.nan], [2.0**960, 1.0]])
+def test_exact_sum_falls_back_to_the_list(monkeypatch, terms):
+    want = math.fsum(terms)
+    seen = _fsum_inputs(monkeypatch)
+    got = analysis._exact_sum(np.array(terms, dtype=np.float64))
+    assert len(seen) == 1 and np.array_equal(seen[0], terms, equal_nan=True)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_exact_sum_overflows_as_fsum_does():
+    terms = [1.7e308, 1.7e308, 1.0]
+    with pytest.raises(OverflowError):
+        math.fsum(terms)
+    with pytest.raises(OverflowError):
+        analysis._exact_sum(np.array(terms))
+
+
+def test_exact_sum_paths_at_their_limits(monkeypatch):
+    # frexp exponents -1073 (the smallest subnormal) and 960 (2^959) are
+    # the extremes of the exact path, which sums two partials per exponent
+    edges = [5e-324, 0.1, 2.0**959]
+    monkeypatch.setattr(analysis, "_EXACT_SUM_TERMS", 3)
+    over = edges + [0.0]
+    want = math.fsum(edges), math.fsum(over)
+    seen = _fsum_inputs(monkeypatch)
+    assert analysis._exact_sum(np.array(edges)) == want[0]
+    assert len(seen) == 1 and len(seen[0]) == 2 * (1073 + 960 + 1)
+    assert analysis._exact_sum(np.array(over)) == want[1]
+    assert len(seen) == 2 and seen[1] == over
+
+
 def test_frequency_modulus():
     assert frequency_modulus(3, 12) == 4
     assert frequency_modulus(24, 12) == 1

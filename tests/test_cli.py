@@ -368,3 +368,32 @@ def test_sweep_leaves_numpy_random_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False", "False"]
     assert (tmp_path / "s" / "report.json").exists()
+
+
+def test_disc_bounds_builds_its_spectrum_once(run_cli, tmp_path, monkeypatch):
+    from crt_equidist import analysis
+
+    build, calls = analysis.weyl_spectrum, []
+
+    def counting(source, H):
+        calls.append(H)
+        return build(source, H)
+
+    monkeypatch.setattr(analysis, "weyl_spectrum", counting)
+    monkeypatch.setattr(cli, "weyl_spectrum", counting)
+    out = tmp_path / "once"
+    run_cli(["disc", "--system", "graph:1,0,1:0,0,1", "--q", "1105", "--disc-mode", "bounds", "--H", "8",
+             "--quiet", "--out", out])
+    assert calls == [8]
+    # the SHA-256 of both files as the program wrote them when it built the
+    # spectrum a second time for spectrum.json
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("result.json", "spectrum.json")}
+    assert digests == {
+        "result.json": "3cad14c1a9c15aad031b8c20789161ebc751fa1b2bb2b158dc293db4022e1cf9",
+        "spectrum.json": "0da5e1a31a7e0a34b77891ec94e99c21651ae5fcd61c1c5158faf84ce4ab1289",
+    }
+    # exact mode needs no spectrum for its value, so spectrum.json builds one
+    calls.clear()
+    run_cli(["disc", "--system", "graph:1,0,1:0,0,1", "--q", "65", "--disc-mode", "exact", "--H", "2",
+             "--quiet", "--out", tmp_path / "exact"])
+    assert calls == [2]
