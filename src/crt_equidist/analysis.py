@@ -4,6 +4,7 @@ second-moment checks, reciprocal prime sums, theorem right-hand sides,
 and aggregation over supported moduli."""
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -282,26 +283,33 @@ def interval_discrepancy(ps):
     return DiscrepancyResult(method="exact", value=float(frac), witness=witness, q=q, fraction=frac)
 
 
+def _arcs(coord, start, span, open_span, q):
+    """Membership of the points `coord` in the arcs that start at start[k]:
+    with d = (c - start[k]) mod q, the closed arc holds d <= span[k] and the
+    open arc 0 < d < open_span[k]. Returns the (closed, open) boolean
+    matrices, one row per arc and one column per point."""
+    d = coord[None, :] - start[:, None]
+    # d lies in (-q, q), so one conditional addition reduces it
+    np.add(d, q, out=d, where=d < 0)
+    return d <= span[:, None], (d > 0) & (d < open_span[:, None])
+
+
 def _axis_candidates(coord, q):
     """Per-axis arc candidates for the 2-dimensional exact scan: row a*K + b
     is the arc from u[a] to u[b] over the K sorted distinct coordinates u,
     and the full circle is the last row.
 
-    Closed arcs attain the positive side of the sup and wrap past 0 when
-    b < a. Open arcs (point coordinates excluded) give the limit values for
-    the negative side and wrap when b <= a, so for a = b the open arc is the
-    circle without u[a]. Returns boolean membership matrices over the N
-    points and int64 lengths."""
+    Closed arcs attain the positive side of the sup. Open arcs (point
+    coordinates excluded) give the limit values for the negative side; for
+    a = b the open arc is the circle without u[a], of length q. Returns
+    boolean membership matrices over the N points and int64 lengths."""
     u = np.unique(coord)
     a, b = divmod(np.arange(len(u) ** 2), len(u))
-    lo, hi, c = u[a, None], u[b, None], coord[None, :]
+    span = (u[b] - u[a]) % q
+    open_span = (span - 1) % q + 1
+    mc, mo = _arcs(coord, u[a], span, open_span, q)
     full = np.ones((1, len(coord)), dtype=bool)
-    ge, le = c >= lo, c <= hi
-    mc = np.vstack([np.where((b < a)[:, None], ge | le, ge & le), full])
-    gt, lt = c > lo, c < hi
-    mo = np.vstack([np.where((b <= a)[:, None], gt | lt, gt & lt), full])
-    span = u[b] - u[a]
-    return mc, np.append(span + q * (b < a), q), mo, np.append(span + q * (b <= a), q)
+    return np.vstack([mc, full]), np.append(span, q), np.vstack([mo, full]), np.append(open_span, q)
 
 
 def _box_exact_2d(ps, budget):
@@ -335,68 +343,62 @@ def _box_exact_2d(ps, budget):
     return DiscrepancyResult(method="exact", value=float(frac), witness=witness, q=q, fraction=frac)
 
 
-def _box_membership(pts, q, corner_lo, corner_hi, strict):
-    """Count points inside the product of per-axis arcs [lo, hi] (or open)."""
-    inside = np.ones(len(pts), dtype=bool)
-    for axis, (a, b) in enumerate(zip(corner_lo, corner_hi)):
-        c = pts[:, axis]
-        if strict:
-            part = (c > a) & (c < b) if a <= b else (c > a) | (c < b)
-        else:
-            part = (c >= a) & (c <= b) if a <= b else (c >= a) | (c <= b)
-        inside &= part
-    return int(inside.sum())
+# bool elements (trials x points) per block of the sampled box search
+_BOX_BLOCK = 1 << 18
 
 
 def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     """Discrepancy over closed boxes on the n-torus. Exact mode enumerates
     per-axis candidate intervals with endpoints at point coordinates
     (n <= 2); bounds mode pairs a seeded coordinate-restricted random
-    search (lower bound) with an Erdos-Turan bound (upper), whose H is
-    refused over `budget` before the search runs."""
-    if ps.dimension == 1:
-        return interval_discrepancy(ps)
-    if mode == "exact":
-        if ps.dimension != 2:
-            raise ValueError(f"exact box scan supports n <= 2, got n={ps.dimension}; use mode='bounds'")
-        return _box_exact_2d(ps, budget)
+    search (lower bound) with an Erdos-Turan bound (upper) at the largest
+    H <= 64 that fits `budget`. An H over `budget`, given or automatic, is
+    refused before any other work. Bounds mode, and every mode with H
+    given, returns the Weyl spectrum at H as `spectrum`."""
+    q, pts = ps.denominator, ps.array
+    N, n = pts.shape
+    h_given = H is not None
+    if n > 1 and mode == "bounds" and not h_given:
+        H = max((h for h in range(2, 65) if N * (2 * h + 1) ** n <= budget), default=1)
+    if H is not None:
+        _require_spectrum_budget(N, n, H, budget, h_given)
+    if n == 1 or mode == "exact":
+        if n > 2:
+            raise ValueError(f"exact box scan supports n <= 2, got n={n}; use mode='bounds'")
+        result = interval_discrepancy(ps) if n == 1 else _box_exact_2d(ps, budget)
+        if h_given:
+            result.spectrum = weyl_spectrum(ps, H)
+        return result
     if mode != "bounds":
         raise ValueError(f"unknown mode {mode!r}")
-    import random as _random
-
-    q = ps.denominator
-    n = ps.dimension
-    pts = ps.array
-    N = len(pts)
-    h_given = H is not None
-    if not h_given:
-        # the largest H <= 64 whose spectrum fits the budget, at least 1
-        H = max((h for h in range(2, 65) if N * (2 * h + 1) ** n <= budget), default=1)
-    _require_spectrum_budget(N, n, H, budget, h_given)
-    rng = _random.Random(seed)
-    axes = [np.unique(pts[:, a]) for a in range(n)]
-    qn = q**n
-    den = N * qn
-    best_num = 0
-    best_box = None
+    # every corner first, in trial order: low corner, then high, axis by axis
+    rng = random.Random(seed)
+    axes = [np.unique(pts[:, a]).tolist() for a in range(n)]
     trials = max(64, min(4096, budget // max(1, 4 * N)))
-    for _ in range(trials):
-        corner_lo = [int(rng.choice(ax)) for ax in axes]
-        corner_hi = [int(rng.choice(ax)) for ax in axes]
-        # integer scoring keeps the sampled bound a true lower bound
-        vol_num = N * math.prod((b - a) % q for a, b in zip(corner_lo, corner_hi))
-        closed = _box_membership(pts, q, corner_lo, corner_hi, strict=False)
-        opened = _box_membership(pts, q, corner_lo, corner_hi, strict=True)
-        cand = max(closed * qn - vol_num, vol_num - opened * qn)
-        if cand > best_num:
-            best_num = cand
-            best_box = [corner_lo, corner_hi]
-    best = best_num / den
+    corners = np.array([[rng.choice(ax) for _ in "lh" for ax in axes] for _ in range(trials)], dtype=np.int64)
+    lo, span = corners[:, :n], (corners[:, n:] - corners[:, :n]) % q
+    # a box is the product of the arcs from lo to hi, closed or open (the
+    # open arc is empty where lo = hi); the trials are counted in blocks
+    counts = ([], [])
+    step = max(1, _BOX_BLOCK // N)
+    for s in range(0, trials, step):
+        block = slice(s, s + step)
+        arcs = [_arcs(pts[:, a], lo[block, a], span[block, a], span[block, a], q) for a in range(n)]
+        for out, sides in zip(counts, zip(*arcs)):
+            out += np.logical_and.reduce(sides).sum(axis=1).tolist()
+    # integer scoring keeps the sampled bound a true lower bound; q^n may
+    # pass int64
+    qn = q**n
+    vols = [N * math.prod(v) for v in span.tolist()]
+    scores = [max(c * qn - v, v - o * qn) for c, o, v in zip(*counts, vols)]
+    best = max(scores)
+    # the witness is the first trial with the largest score, if it deviates
+    box = corners[scores.index(best)].reshape(2, n).tolist() if best > 0 else None
     spectrum = weyl_spectrum(ps, H)
     return DiscrepancyResult(
         method="sampled",
-        bounds=(best, erdos_turan_bound(spectrum)),
-        witness={"best_box": best_box},
+        bounds=(best / (N * qn), erdos_turan_bound(spectrum)),
+        witness={"best_box": box},
         q=q,
         H=H,
         seed=seed,
@@ -628,9 +630,9 @@ def aggregate_stats(
     point-count-weighted aggregate measure).
 
     Exact per-q discrepancy for 1-dimensional systems; higher dimensions
-    default to Erdos-Turan upper bounds unless disc_mode='exact'. An
-    Erdos-Turan modulus of N points whose spectrum would hold N*(2H+1)^n
-    terms, over `budget`, is refused before its spectrum is built."""
+    default to Erdos-Turan upper bounds unless disc_mode='exact'. When the
+    largest A_q, of N points, would need a spectrum of N*(2H+1)^n terms,
+    over `budget`, the sweep is refused before any spectrum is built."""
     if weighting not in ("uniform", "rho"):
         raise ValueError(f"weighting must be 'uniform' or 'rho', got {weighting!r}")
     n = system.dimension
@@ -648,7 +650,6 @@ def aggregate_stats(
             disc = box_discrepancy(ps, mode="exact", budget=budget).value
             method = "exact"
         else:
-            _require_spectrum_budget(len(pts), n, h_val, budget, h_given=isinstance(H, int))
             disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
             method = "erdos_turan"
         mass_count = None
@@ -663,6 +664,10 @@ def aggregate_stats(
     if exact_1d:
         rows = [row for chunk in _point_chunks(moduli) for row in _exact_1d_rows(system, chunk, reg)]
     else:
+        moduli = list(moduli)
+        if disc_mode != "exact" and moduli:
+            # one check for the largest A_q refuses before any spectrum
+            _require_spectrum_budget(max(rho for *_, rho in moduli), n, h_val, budget, h_given=isinstance(H, int))
         rows = [handle(q, rho) for q, _, rho in moduli]
 
     if not rows:

@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import _require_spectrum_budget, box_discrepancy, weyl_spectrum
+from .analysis import box_discrepancy
 from .crt_sets import fractional_points, residue_set
 from .experiments import (
     _CONFIG_CODECS,
@@ -297,16 +297,12 @@ def _cmd_disc(cfg, writer):
     ps = fractional_points(rs)
     mode = "exact" if cfg.disc_mode == "auto" else cfg.disc_mode
     h_int = None if cfg.H == "auto" else int(cfg.H)
-    if h_int is not None:
-        _require_spectrum_budget(rs.size, system.dimension, h_int, cfg.budget, h_given=True)
     result = box_discrepancy(ps, mode=mode, budget=cfg.budget, seed=cfg.seed, H=h_int)
     payload = result.to_json()
     payload["rho"] = rs.size
     writer.write_text("result.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if h_int is not None:
-        # bounds mode built this spectrum for its Erdos-Turan bound
-        spectrum = result.spectrum if result.spectrum is not None else weyl_spectrum(ps, h_int)
-        writer.write_text("spectrum.json", json.dumps(spectrum.to_json(), indent=2, sort_keys=True) + "\n")
+        writer.write_text("spectrum.json", json.dumps(result.spectrum.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 _HANDLERS = {

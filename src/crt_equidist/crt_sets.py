@@ -248,16 +248,20 @@ def residue_set(system, q, parts=None):
     return ResidueSet(q, parts, arr)
 
 
-def point_count(system, q):
-    """|A_q| as a product of local cardinalities; never materializes A_q."""
-    if q == 1:
-        return 1
+def _local_product(q, local):
+    """The product of local(p, v) over the prime powers p^v || q, stopping
+    at the first 0; 1 for q = 1."""
     total = 1
     for p, v in factor_tuples(q):
-        total *= system.local_size(p, v)
+        total *= local(p, v)
         if total == 0:
             return 0
     return total
+
+
+def point_count(system, q):
+    """|A_q| as a product of local cardinalities; never materializes A_q."""
+    return _local_product(q, system.local_size)
 
 
 # int64 elements per block of hyperplane values (points x directions)
@@ -340,14 +344,7 @@ def hyperplane_max(system, q):
     Equals the direct hyperplane maximum mod q when the normal vector is
     restricted to be nonzero mod every maximal prime power dividing q
     (unrestricted normals can exceed the product)."""
-    if q == 1:
-        return 1
-    total = 1
-    for p, v in factor_tuples(q):
-        total *= hyperplane_max_local(system, p, v)
-        if total == 0:
-            return 0
-    return total
+    return _local_product(q, lambda p, v: hyperplane_max_local(system, p, v))
 
 
 def local_profile(system, x):

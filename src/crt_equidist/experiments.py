@@ -191,9 +191,14 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def render_text(self):
-        cells = [list(self.columns)] + [[_cell(v) for v in row] for row in self.rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(self.columns))]
-        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells) + "\n"
+        return "\n".join(_align([list(self.columns)] + [[_cell(v) for v in row] for row in self.rows])) + "\n"
+
+
+def _align(rows):
+    """The lines of a table of string cells, each column right-aligned to
+    its widest cell and the columns joined by two spaces."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
 
 
 def _poly_from_string(text):
@@ -462,15 +467,10 @@ def render_poisson_text(hist, moments, reference, moment_reference=(1.0, 2.0, 5.
     rows = [["k"] + [str(k) for k in ks], ["empirical"] + [str(int(c)) for c in hist]]
     if reference is not None:
         rows.append(["reference"] + ["%.1f" % r for r in reference])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    out = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
-    out.append("")
     mrows = [["moment"] + [str(j) for j in (1, 2, 3, 4)], ["empirical"] + ["%.5g" % m for m in moments]]
     if moment_reference is not None:
         mrows.append(["reference"] + ["%.5g" % m for m in moment_reference])
-    mwidths = [max(len(r[i]) for r in mrows) for i in range(len(mrows[0]))]
-    out.extend("  ".join(c.rjust(w) for c, w in zip(row, mwidths)) for row in mrows)
-    return "\n".join(out) + "\n"
+    return "\n".join(_align(rows) + [""] + _align(mrows)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -760,6 +760,100 @@ def test_axis_candidates_equal_the_pairwise_loop():
             assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), (coord, q)
 
 
+def _box_membership(pts, q, corner_lo, corner_hi, strict):
+    """Count points inside the product of per-axis arcs [lo, hi] (or open)."""
+    inside = np.ones(len(pts), dtype=bool)
+    for axis, (a, b) in enumerate(zip(corner_lo, corner_hi)):
+        c = pts[:, axis]
+        if strict:
+            part = (c > a) & (c < b) if a <= b else (c > a) | (c < b)
+        else:
+            part = (c >= a) & (c <= b) if a <= b else (c >= a) | (c <= b)
+        inside &= part
+    return int(inside.sum())
+
+
+def _sampled_search_loop(ps, budget, seed):
+    """The per-trial loop that the blocked sampled search of bounds-mode
+    `box_discrepancy` replaced: its lower bound and witness box."""
+    q, pts = ps.denominator, ps.array
+    N, n = pts.shape
+    rng = random.Random(seed)
+    axes = [np.unique(pts[:, a]) for a in range(n)]
+    qn = q**n
+    best_num, best_box = 0, None
+    for _ in range(max(64, min(4096, budget // max(1, 4 * N)))):
+        corner_lo = [int(rng.choice(ax)) for ax in axes]
+        corner_hi = [int(rng.choice(ax)) for ax in axes]
+        vol_num = N * math.prod((b - a) % q for a, b in zip(corner_lo, corner_hi))
+        closed = _box_membership(pts, q, corner_lo, corner_hi, strict=False)
+        opened = _box_membership(pts, q, corner_lo, corner_hi, strict=True)
+        cand = max(closed * qn - vol_num, vol_num - opened * qn)
+        if cand > best_num:
+            best_num, best_box = cand, [corner_lo, corner_hi]
+    return best_num / (N * qn), best_box
+
+
+def test_sampled_box_search_equals_the_per_trial_loop(monkeypatch):
+    rng = random.Random(1717)
+    cases = []
+    for i in range(40):
+        n = rng.choice((2, 3))
+        q = rng.choice((rng.randrange(1, 40), rng.randrange(2, 10**6), 2**40))
+        # a small pool repeats coordinates; a pool of one gives lo = hi
+        pool = [rng.randrange(q) for _ in range(rng.randrange(1, 6))]
+        N = rng.randrange(1, 25)
+        pts = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(N)]
+        # a budget of 4*N*T gives T trials
+        cases.append((torus(pts, q, n), 4 * N * (4096 if i % 4 == 0 else 64), rng.choice((None, 1, 2)), i))
+    cases.append((torus([(3, 3)] * 5, 7, 2), 10**6, None, 0))
+    # the largest q whose spectrum fits int64 at H = 1; corners wrap on
+    # either axis
+    cases.append((torus([(0, 2**62 - 1), (2**62 - 1, 0), (2**61, 2**62 - 1)], 2**62, 2), 10**6, 1, 3))
+    want = [(*_sampled_search_loop(ps, budget, seed), weyl_spectrum(ps, H or 1)) for ps, budget, H, seed in cases]
+    # the default block, and blocks of 2 to 50 trials
+    for block in (analysis._BOX_BLOCK, 50):
+        monkeypatch.setattr(analysis, "_BOX_BLOCK", block)
+        for (ps, budget, H, seed), (lower, box, spectrum) in zip(cases, want):
+            got = box_discrepancy(ps, mode="bounds", budget=budget, seed=seed, H=H)
+            if H is None:
+                spectrum = weyl_spectrum(ps, got.H)
+            assert got.to_json() == {
+                "q": ps.denominator,
+                "H": spectrum.H,
+                "method": "sampled",
+                "bounds": [lower, erdos_turan_bound(spectrum)],
+                "witness": {"best_box": box},
+                "seed": seed,
+            }
+            assert got.spectrum.values.tobytes() == spectrum.values.tobytes()
+
+
+def test_sampled_box_search_at_the_int64_edge(monkeypatch):
+    # at q = 2^62 + 135 the Weyl spectrum refuses n*H*(q-1) >= 2^63, so the
+    # search is checked on its own, with the upper bound stubbed out
+    monkeypatch.setattr(analysis, "weyl_spectrum", lambda ps, H: None)
+    monkeypatch.setattr(analysis, "erdos_turan_bound", lambda spectrum: 1.0)
+    q = 2**62 + 135
+    for pts in ([(0, q - 1), (q - 1, 0), (2**61, q - 1)], [(q - 1, q - 1)] * 3, [(5, q - 2), (q - 3, 7)]):
+        ps = torus(pts, q, 2)
+        for trials in (64, 4096):
+            got = box_discrepancy(ps, mode="bounds", budget=4 * len(pts) * trials, seed=trials)
+            lower, box = _sampled_search_loop(ps, 4 * len(pts) * trials, trials)
+            assert got.bounds == (lower, 1.0) and got.witness == {"best_box": box}
+
+
+def test_box_disc_carries_the_spectrum_at_a_given_H():
+    two = torus([(1, 2), (2, 4), (3, 1), (4, 3)], 5, n=2)
+    one = torus([0, 1, 3, 3], 7)
+    for ps, mode in ((two, "exact"), (one, "exact"), (one, "bounds")):
+        res = box_discrepancy(ps, mode=mode, H=2)
+        want = weyl_spectrum(ps, 2)
+        assert res.H is None and res.spectrum.freqs is want.freqs
+        assert res.spectrum.values.tobytes() == want.values.tobytes()
+        assert box_discrepancy(ps, mode=mode).spectrum is None
+
+
 # ---------------------------------------------------------------------------
 # Erdos-Turan
 
@@ -1046,6 +1140,17 @@ def test_aggregate_validation():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be >= 1"):
             aggregate_stats(s, 10, k=k)
+
+
+def test_sweep_spectrum_budget_is_refused_before_any_spectrum(monkeypatch):
+    # full:2 at x = 30 takes the automatic H = 64, so A_q of q^2 points
+    # needs q^2 * 129^2 terms: q <= 7 fit a budget of 10^6, A_30 (900 points)
+    # does not
+    build, calls = analysis.weyl_spectrum, []
+    monkeypatch.setattr(analysis, "weyl_spectrum", lambda source, H: calls.append(H) or build(source, H))
+    with pytest.raises(ValueError, match="at H=64 needs 14976900 terms, over budget 1000000"):
+        aggregate_stats(full_system(2), 30, budget=10**6)
+    assert calls == []
 
 
 def test_aggregate_2d_paths():

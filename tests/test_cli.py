@@ -380,7 +380,6 @@ def test_disc_bounds_builds_its_spectrum_once(run_cli, tmp_path, monkeypatch):
         return build(source, H)
 
     monkeypatch.setattr(analysis, "weyl_spectrum", counting)
-    monkeypatch.setattr(cli, "weyl_spectrum", counting)
     out = tmp_path / "once"
     run_cli(["disc", "--system", "graph:1,0,1:0,0,1", "--q", "1105", "--disc-mode", "bounds", "--H", "8",
              "--quiet", "--out", out])
