@@ -355,6 +355,8 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     H <= 64 that fits `budget`. An H over `budget`, given or automatic, is
     refused before any other work. Bounds mode, and every mode with H
     given, returns the Weyl spectrum at H as `spectrum`."""
+    if mode not in ("exact", "bounds"):
+        raise ValueError(f"unknown mode {mode!r}")
     q, pts = ps.denominator, ps.array
     N, n = pts.shape
     h_given = H is not None
@@ -369,8 +371,6 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
         if h_given:
             result.spectrum = weyl_spectrum(ps, H)
         return result
-    if mode != "bounds":
-        raise ValueError(f"unknown mode {mode!r}")
     # every corner first, in trial order: low corner, then high, axis by axis
     rng = random.Random(seed)
     axes = [np.unique(pts[:, a]).tolist() for a in range(n)]

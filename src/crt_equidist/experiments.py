@@ -354,20 +354,22 @@ def _root_count_chunk(pp, P):
     Groups start at n = 1, 1 + B, ..., so the _COUNT_BLOCK steps of one block
     fill the _COUNT_BLOCK/B rows of one buffer, which is compared with the
     hit rule once; a column whose steps end inside the block holds NaN in
-    its later rows. An odd prime's last step p - 1 closes a pair; p = 2 has
-    only step 1 and is counted directly. The pass costs about sum(P)/B
-    reductions."""
+    its later rows. The hit columns are kept per block and counted with
+    np.bincount, 64 blocks with hits at a time. An odd prime's last step
+    p - 1 closes a pair; p = 2 has only step 1 and is counted directly. The
+    pass costs about sum(P)/B reductions."""
     P = np.ascontiguousarray(P, dtype=np.int64)
     last = int(P[-1])
     _check_root_count_limit(last, "largest prime")
     B = 2 if last < _PAIR_LIMIT else 1
     m = len(P)
+    primes = memoryview(P)  # Python ints for the retirement compares, without a copy
     Pf = P.astype(np.float64)
     inv = 1.0 / Pf
     sign, T = pp.sign, pp.root_target
     R = (1 % P == T).astype(np.int64)
     j = 0
-    if P[0] == 2:
+    if primes[0] == 2:
         R[0] += pp.value(1) % 2 == 0
         j = 1
     rows = np.empty((_COUNT_BLOCK // B, m))
@@ -375,29 +377,27 @@ def _root_count_chunk(pp, P):
     t = np.empty(m)
     # each row's first step, counted from the block's first step n0
     lane = np.arange(0, _COUNT_BLOCK, B)
+    found = []
     for n0 in range(1, last - B + 1, _COUNT_BLOCK):
         # a column stays while its prime p leaves a whole group: n0 + B - 1 <= p - 1
-        while P[j] < n0 + B:
+        while primes[j] < n0 + B:
             j += 1
         # the last row holds the residues after step n0 - 1
         G, tj, invj, Pj = rows[-1, j:], t[j:], inv[j:], Pf[j:]
-        for r, n in enumerate(range(n0, n0 + _COUNT_BLOCK, B)):
-            a, d = 1, 0
-            for s in range(n, n + B):
-                a, d = sign * s * a, sign * s * d + 1
-            row = rows[r, j:]
-            np.multiply(G, a, out=tj)
-            np.add(tj, d + 0.5 - 0.5 * a, out=tj)
-            np.multiply(tj, invj, out=row)
-            np.floor(row, out=row)
-            np.multiply(row, Pj, out=row)
-            np.subtract(tj, row, out=row)
+        block = rows[:, j:]
+        for row, n in zip(block, range(n0, n0 + _COUNT_BLOCK, B)):
+            a, d = (n * (n + 1), sign * (n + 1) + 1) if B == 2 else (sign * n, 1)
+            np.multiply(G, a, tj)
+            np.add(tj, d + 0.5 - 0.5 * a, tj)
+            np.multiply(tj, invj, row)
+            np.floor(row, row)
+            np.multiply(row, Pj, row)
+            np.subtract(tj, row, row)
             G = row
         c = j
-        while c < m and P[c] < n0 + _COUNT_BLOCK:
-            rows[(P[c] - n0) // B :, c] = np.nan
+        while c < m and primes[c] < n0 + _COUNT_BLOCK:
+            rows[(primes[c] - n0) // B :, c] = np.nan
             c += 1
-        block = rows[:, j:]
         if T == 0:
             # G = 1/2 is a root at the group's last step, G = 3/2 at a pair's first
             hits = block < B
@@ -406,24 +406,24 @@ def _root_count_chunk(pp, P):
             if B == 2:
                 # f3: a root at the pair's first step n leaves F = p - n
                 hits |= block + (lane + (n0 - 0.5))[:, None] == Pj
-        # roots are rare, so count the few hits rather than sum every column
-        found = np.flatnonzero(hits)
-        if found.size:
-            np.add.at(R, j + found % (m - j), 1)
+        # roots are rare, so keep the few hit columns rather than sum every column
+        flat = np.flatnonzero(hits)
+        if flat.size:
+            found.append(j + flat % (m - j))
+            if len(found) == 64:  # each small array holds about 100 bytes of header
+                R += np.bincount(np.concatenate(found), minlength=m)
+                found = []
+    if found:
+        R += np.bincount(np.concatenate(found), minlength=m)
     return R
 
 
 def pseudo_root_counts(which, x):
     """(primes <= x, root count mod each prime) for a pseudo-polynomial.
 
-    One shared pass over all primes (see _root_count_chunk). While the
-    largest prime is below 2^17 it advances two steps per float64
-    reduction, t = a*G + (d + 1/2 - a/2) with G = F + 1/2, a = k_n k_{n+1}
-    and d = k_{n+1} + 1, exact because p^3 < 2^51; a root at either step of
-    a pair is read from the residue after it (G < 2 for f1 and f2,
-    G = 3/2 or G + n - 1/2 = p for f3). The work is then about sum(p)/2
-    reductions, and sum(p) from 2^17 up. Refuses x >= 2^25, past which the
-    float64 kernel would not be exact."""
+    One shared float64 pass over all primes; _root_count_chunk gives its
+    exactness argument and cost. Refuses x >= 2^25, past which the kernel
+    would not be exact."""
     pp = _as_pseudo(which)
     _check_root_count_limit(x, "x")
     primes = prime_array(x)

@@ -547,6 +547,13 @@ def test_box_disc_delegates_for_n1():
     assert box_discrepancy(ps).fraction == interval_discrepancy(ps).fraction
 
 
+@pytest.mark.parametrize("ps", [torus([1, 5], 6), torus([(1, 2), (2, 4)], 5, n=2)], ids=["n1", "n2"])
+def test_box_disc_refuses_an_unknown_mode(ps):
+    # a 1-D set takes the interval scan in either mode, but only after the check
+    with pytest.raises(ValueError, match="unknown mode 'fancy'"):
+        box_discrepancy(ps, mode="fancy")
+
+
 def test_box_disc_singleton():
     ps = torus([(2, 3)], 5, n=2)
     assert box_discrepancy(ps).value == 1.0

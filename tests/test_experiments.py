@@ -173,6 +173,20 @@ def test_root_counts_match_int64_loop_at_pair_limit(which, primes):
     assert _root_count_chunk(pp, P).tolist() == _int64_root_counts(pp, P).tolist()
 
 
+@pytest.mark.parametrize("which", ["f1", "f2", "f3"])
+def test_root_counts_do_not_depend_on_block_shape(monkeypatch, which):
+    # block edges retire columns, fill the NaN tail of a column that ends
+    # inside a block and close the count, at both step sizes
+    pp = PseudoPoly(which)
+    cases = [prime_array(x) for x in [*range(2, 301), 20000]]
+    cases += [np.array(primes, dtype=np.int64) for primes in ([2, 3, 5, 131071], [2, 3, 131071, 131101])]
+    expected = [_int64_root_counts(pp, P).tolist() for P in cases]
+    for block in (2, 4, 6, 16, 32):
+        monkeypatch.setattr(experiments, "_COUNT_BLOCK", block)
+        for P, want in zip(cases, expected):
+            assert _root_count_chunk(pp, P).tolist() == want, (block, P[-1])
+
+
 def test_root_counts_limit():
     with pytest.raises(ValueError, match="below 2\\^25"):
         pseudo_root_counts("f1", 2**25)
