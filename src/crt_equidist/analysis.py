@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -113,10 +113,18 @@ def _freq_box(n, H):
     int64 array, lexicographic (the `itertools.product` order: the full grid
     of (2H+1)^n vectors, first axis major, without its centre row, the zero
     vector), and weights the matching Erdos-Turan weights
-    M(h) = prod max(|h_i|, 1). Both arrays are read-only."""
-    box = np.indices((2 * H + 1,) * n, dtype=np.int64).reshape(n, -1).T - H
-    box = box[box.any(axis=1)]
-    weights = np.prod(np.maximum(np.abs(box), 1), axis=1)
+    M(h) = prod max(|h_i|, 1). Both arrays are read-only. Column i of the
+    grid is -H..H with each value repeated (2H+1)^(n-1-i) times, tiled
+    (2H+1)^i times; the weights are the outer product of the per-axis
+    max(|h|, 1). So no (F, n) array is formed besides the box."""
+    side = np.arange(-H, H + 1, dtype=np.int64)
+    centre = ((2 * H + 1) ** n - 1) // 2
+    box = np.empty((2 * centre, n), dtype=np.int64)
+    for i in range(n):
+        column = np.tile(side.repeat(len(side) ** (n - 1 - i)), len(side) ** i)
+        box[:centre, i], box[centre:, i] = column[:centre], column[centre + 1 :]
+    del column  # freed before the weights' grid is built
+    weights = np.delete(reduce(np.multiply.outer, [np.maximum(np.abs(side), 1)] * n).ravel(), centre)
     box.flags.writeable = weights.flags.writeable = False
     return box, weights
 
@@ -437,6 +445,11 @@ def erdos_turan_bound(spectrum):
 # most terms `_exact_sum` adds exactly: each partial sums at most this many
 # 27-bit integers, which stays below 2^53
 _EXACT_SUM_TERMS = 1 << 26
+# terms per block of `_exact_sum`, which bounds its temporaries
+_EXACT_SUM_BLOCK = 1 << 16
+# frexp gives finite float64 values exponents -1073 (the smallest
+# subnormal) to 1024
+_FREXP_LOW, _FREXP_SPAN = -1073, 1073 + 1024 + 1
 
 
 def _exact_sum(t):
@@ -444,32 +457,42 @@ def _exact_sum(t):
     without building the list.
 
     Each term is m * 2^(e-53) with m a 53-bit integer (`frexp`), split as
-    m = a * 2^26 + b with a < 2^27 and b < 2^26. Per exponent e, one
-    `bincount` sums the a and another the b. With at most 2^26 terms these
-    sums are integers below 2^53, so float64 holds them exactly, and
-    scaled by 2^(e-27) and 2^(e-53) they stay exact: their lowest bit is
-    no finer than the terms' own, 2^-1074 at the least, and while e <= 960
-    they cannot overflow. These partials add up to the exact sum of the
-    terms, and `fsum` of them rounds it once, correctly, as `fsum` of the
-    terms does. Empty or non-finite input, more terms or a larger exponent
-    go to `fsum` of the list."""
-    frac, exp = np.frexp(t)
-    if not 0 < len(t) <= _EXACT_SUM_TERMS or not np.isfinite(frac).all() or exp.max() > 960:
+    m = a * 2^26 + b with a < 2^27 and b < 2^26. The terms go in blocks of
+    _EXACT_SUM_BLOCK; per exponent e, one `bincount` sums a block's a and
+    another its b, and both are added into one pair of arrays over every
+    exponent. With at most 2^26 terms in all these sums are integers below
+    2^53, so float64 holds them exactly, and scaled by 2^(e-27) and
+    2^(e-53) they stay exact: their lowest bit is no finer than the terms'
+    own, 2^-1074 at the least, and while e <= 960 they cannot overflow.
+    These partials add up to the exact sum of the terms, and `fsum` of
+    them rounds it once, correctly, as `fsum` of the terms does. Empty or
+    non-finite input, more terms or a larger exponent go to `fsum` of the
+    list."""
+    if not 0 < len(t) <= _EXACT_SUM_TERMS:
         return math.fsum(t.tolist())
-    lo, hi = int(exp.min()), int(exp.max())
-    # in place and exact: frac * 2^27 splits into its integer part `top`
-    # and a fraction that 2^26 scales to the integer `frac`
-    frac *= 2.0**27
-    top = np.floor(frac)
-    frac -= top
-    frac *= 2.0**26
-    exp -= lo
+    sums = np.zeros((2, _FREXP_SPAN))
+    lo, hi = _FREXP_LOW + _FREXP_SPAN, _FREXP_LOW
+    for start in range(0, len(t), _EXACT_SUM_BLOCK):
+        frac, exp = np.frexp(t[start : start + _EXACT_SUM_BLOCK])
+        # frexp gives a finite term a frac in [0.5, 1) or 0, so the fracs sum
+        # to a finite value unless some term is not finite
+        low, high = int(exp.min()), int(exp.max())
+        if not math.isfinite(frac.sum()) or high > 960:
+            return math.fsum(t.tolist())
+        lo, hi = min(lo, low), max(hi, high)
+        # in place and exact: frac * 2^27 splits into its integer part `top`
+        # and a fraction that 2^26 scales to the integer `frac`
+        frac *= 2.0**27
+        top = np.floor(frac)
+        frac -= top
+        frac *= 2.0**26
+        exp -= low
+        at = slice(low - _FREXP_LOW, high - _FREXP_LOW + 1)
+        sums[0, at] += np.bincount(exp, weights=top)
+        sums[1, at] += np.bincount(exp, weights=frac)
     power = np.arange(lo, hi + 1)
-    partials = np.concatenate((
-        np.ldexp(np.bincount(exp, weights=top), power - 27),
-        np.ldexp(np.bincount(exp, weights=frac), power - 53),
-    ))
-    return math.fsum(partials.tolist())
+    part = sums[:, lo - _FREXP_LOW : hi - _FREXP_LOW + 1]
+    return math.fsum(np.concatenate((np.ldexp(part[0], power - 27), np.ldexp(part[1], power - 53))).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Local residue systems, their CRT assembly, counting and hyperplane
 statistics, and enumeration of the supported moduli."""
 
+import itertools
 import math
-from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -180,62 +180,107 @@ class TorusPointSet:
         return tuple(map(tuple, self.array.tolist()))
 
 
+# the one part of an item without parts: A_1 is the zero row mod 1^0 = 1
+_UNIT = ((1, 0),)
+# a table slot (size, offset, p^v, m, inverse) where a modulus joins no set:
+# its rows meet one local row mod 1 with inverse 0, which keeps them
+_IDLE = np.array([1, 0, 1, 1, 0])[:, None, None]
+
+
+def _read_sets(system, moduli):
+    """The (p, v) parts of the (q, parts, ...) items, flattened, their local
+    sets and the sizes of those; an item without parts has the part _UNIT.
+    Cached sets come from the cache, and the misses are read in the order
+    of a loop over the items that reads each item's parts in ascending p
+    and stops at its first empty set, so that a refusal names the prime
+    power such a loop meets first. A part such a loop never reaches gets
+    an empty set."""
+    keys = [key for item in moduli for key in item[1] or _UNIT]
+    sets = list(map(system._cache.get, keys))
+    try:
+        return keys, sets, list(map(len, sets))
+    except TypeError:  # a miss, None
+        pass
+    zero = np.zeros((1, system.dimension), dtype=np.int64)
+    counts = [len(item[1]) or 1 for item in moduli]
+    start = [b for b, c in zip(itertools.accumulate(counts, initial=0), counts) for _ in range(c)]
+    for i in [i for i, got in enumerate(sets) if got is None]:
+        if any(len(got) == 0 for got in sets[start[i] : i]):
+            sets[i] = zero[:0]
+        else:
+            sets[i] = zero if keys[i] == _UNIT[0] else system.local_set(*keys[i])
+    return keys, sets, list(map(len, sets))
+
+
+def _join_order(owner, pv):
+    """The parts grouped by their modulus, `owner` (ascending), and by
+    descending p^v within it, by one stable sort: the key is owner * 2^33
+    minus p^v clamped to 2^32. Clamping keeps the order, since no two
+    prime powers of one q < 2^63 reach 2^32, and the key stays below 2^63
+    for fewer than 2^30 moduli."""
+    return ((owner << 33) - np.minimum(pv, 1 << 32)).argsort(kind="stable")
+
+
 def _crt_fold(system, moduli):
     """Assemble A_q for every (q, parts, ...) item at once, as one (T, n)
     int64 array: the rows of each A_q in lexicographic order, the sets one
-    after another in the order of the items.
+    after another in the order of the items. The local sets are read as
+    `_read_sets` reads them; when every item has one set, the result is
+    those sets.
 
-    Each modulus reads its local sets in ascending p and stops at an empty
-    one. It starts from its set at the largest p^v, and step j joins the
-    next set of every modulus that has one; the other moduli join the
-    trivial set {0} mod 1, which keeps their rows. A join takes z = x
-    (mod m) and z = y (mod p^v) with p^v < m, so the digit is solved modulo
-    p^v: |y - x| < m and the inverse is below p^v, so every product stays
-    below m * p^v <= q < 2^63."""
-    zero = np.zeros((1, system.dimension), dtype=np.int64)
-    joins = []
-    for q, parts, *_ in moduli:
-        require_int64(q, "modulus q")
-        sets = []
-        for p, v in parts:
-            local = system.local_set(p, v)
-            if len(local) == 0:
-                # a set mod 1 that no row survives
-                sets = [(1, local)]
-                break
-            sets.append((p**v, local))
-        # A_1 is the zero row mod 1
-        joins.append(sorted(sets, key=itemgetter(0), reverse=True) or [(1, zero)])
-    count, steps = len(joins), max(map(len, joins), default=0)
-    m = [sets[0][0] for sets in joins]
-    arr = np.concatenate([zero[:0]] + [sets[0][1] for sets in joins])
-    seg = np.arange(count).repeat([len(sets[0][1]) for sets in joins])
+    Otherwise each modulus joins its sets in descending p^v, the order one
+    stable sort (`_join_order`) gives for all parts at once; an empty set,
+    whose p^v is taken as 1, comes last and leaves no row. The rows start
+    as each modulus' first set, and step j joins the next set of every
+    modulus that has one; the other moduli join a set mod 1, which keeps
+    their rows. Slot (i, j) of one table holds what modulus i joins at
+    step j: the set's size and offset, p^v, the modulus m joined before
+    (one cumulative product along the steps) and the inverse of m mod p^v
+    (one comprehension). A join takes z = x (mod m) and z = y (mod p^v)
+    with p^v < m, so the digit is solved modulo p^v: |y - x| < m and the
+    inverse is below p^v, so every product stays below m * p^v <= q <
+    2^63."""
+    qs = [item[0] for item in moduli]
+    if max(qs, default=0) >= INT64_LIMIT:
+        # the sets a loop over the items reads before that q come first
+        first = next(i for i, q in enumerate(qs) if q >= INT64_LIMIT)
+        _read_sets(system, moduli[:first])
+        require_int64(qs[first], "modulus q")
+    keys, sets, sizes = _read_sets(system, moduli)
+    counts = [len(item[1]) or 1 for item in moduli]
+    steps, count = max(counts, default=1), len(moduli)
+    locs = np.concatenate(sets or [np.zeros((0, system.dimension), dtype=np.int64)])
+    if steps == 1:
+        return locs
+    # per part, in the order read: size, offset of its rows and p^v, which
+    # is taken as 1 for an empty set (a part never read may be past int64)
+    fields = np.array(
+        (sizes, list(itertools.accumulate(sizes, initial=0))[:-1], [p**v if n else 1 for (p, v), n in zip(keys, sizes)])
+    )
+    # slot (i, j) of the table holds the j-th set that modulus i joins; the
+    # slots in use, row by row, take the parts in the join order
+    used = np.arange(steps) < np.array(counts)[:, None]
+    table = np.empty((5, count, steps), dtype=np.int64)
+    table[:] = _IDLE
+    table[:3, used] = fields[:, _join_order(used.nonzero()[0], fields[2])]
+    np.multiply.accumulate(table[2, :, :-1], axis=1, out=table[3, :, 1:])
+    # the first set of a modulus is joined to nothing, so needs no inverse
+    later, m, pv = used[:, 1:], table[3, :, 1:], table[2, :, 1:]
+    table[4, :, 1:][later] = [pow(a, -1, b) for a, b in zip(m[later].tolist(), pv[later].tolist())]
+    rep, off = table[:2, :, 0]
+    seg = np.arange(count).repeat(rep)
+    arr = locs[np.arange(len(seg)) + (off - rep.cumsum() + rep).repeat(rep)]
     for step in range(1, steps):
-        # per modulus: set size, offset of its rows, p^v and the inverse of m
-        # mod p^v; the other moduli read the zero row appended last, mod 1,
-        # where the inverse is 0
-        sizes, off, pv, inv = [1] * count, [-1] * count, [1] * count, [0] * count
-        step_sets, total = [], 0
-        for i, sets in enumerate(joins):
-            if step < len(sets):
-                pv[i], local = sets[step]
-                sizes[i], off[i], inv[i] = len(local), total, pow(m[i], -1, pv[i])
-                step_sets.append(local)
-                total += len(local)
-        locs = np.concatenate(step_sets + [zero])
-        table = np.array((sizes, off, pv, inv, m), dtype=np.int64)
         # row r of a modulus meets every local row of that modulus; k counts
         # the copies of each old row
-        rep = table[0, seg]
+        rep = table[0, seg, step]
         ends = rep.cumsum()
         seg = seg.repeat(rep)
         k = np.arange(len(seg)) - (ends - rep).repeat(rep)
-        _, off, pv, inv, mod = table[:, seg, None]
+        off, pv, mod, inv = table[1:, seg, step, None]
         x = arr.repeat(rep, axis=0)
         arr = x + mod * ((locs[off[:, 0] + k] - x) * inv % pv)
-        m = (table[4] * table[2]).tolist()
-    # a single local set is sorted already
-    return arr[np.lexsort((*arr.T[::-1], seg))] if steps > 1 else arr
+    return arr[np.lexsort((*arr.T[::-1], seg))]
 
 
 def residue_set(system, q, parts=None):

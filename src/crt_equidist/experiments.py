@@ -375,8 +375,6 @@ def _root_count_chunk(pp, P):
     rows = np.empty((_COUNT_BLOCK // B, m))
     rows[-1] = 1.5  # F(0) = 1
     t = np.empty(m)
-    # each row's first step, counted from the block's first step n0
-    lane = np.arange(0, _COUNT_BLOCK, B)
     found = []
     for n0 in range(1, last - B + 1, _COUNT_BLOCK):
         # a column stays while its prime p leaves a whole group: n0 + B - 1 <= p - 1
@@ -404,8 +402,11 @@ def _root_count_chunk(pp, P):
         else:
             hits = block == T + 0.5
             if B == 2:
-                # f3: a root at the pair's first step n leaves F = p - n
-                hits |= block + (lane + (n0 - 0.5))[:, None] == Pj
+                # f3: a root at the pair's first step n leaves F = p - n;
+                # each row is compared through the scratch t
+                for hit, row, n in zip(hits, block, range(n0, n0 + _COUNT_BLOCK, B)):
+                    np.add(row, n - 0.5, tj)
+                    hit |= tj == Pj
         # roots are rare, so keep the few hit columns rather than sum every column
         flat = np.flatnonzero(hits)
         if flat.size:

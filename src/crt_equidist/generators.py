@@ -188,25 +188,31 @@ def _mulmod_rows(a, b, g, p):
     return _reduce_rows(prod % p, g, p)
 
 
+def _times_linear(a, c, g, p):
+    """(X + c) * a mod (g, p) for residue columns a of height k."""
+    k = a.shape[0]
+    step = np.zeros((k + 1, a.shape[1]), dtype=a.dtype)
+    step[1:] = a
+    step[:k] += c * a
+    return _reduce_rows(step % p, g, p)
+
+
 def _pow_linear_rows(c, e, g, p):
     """(X + c)^e mod (g, p), left-to-right over the bits of each column's
     exponent e; leading zero bits only square the 1 the result starts at."""
-    k, cols = g.shape[0] - 1, g.shape[1]
-    acc = np.zeros((k, cols), dtype=g.dtype)
+    acc = np.zeros((g.shape[0] - 1, g.shape[1]), dtype=g.dtype)
     acc[0] = 1
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         acc = _mulmod_rows(acc, acc, g, p)
-        step = np.zeros((k + 1, cols), dtype=g.dtype)
-        step[1:] = acc
-        step[:k] += c * acc
-        acc = np.where(e >> bit & 1 == 1, _reduce_rows(step % p, g, p), acc)
+        acc = np.where(e >> bit & 1 == 1, _times_linear(acc, c, g, p), acc)
     return acc
 
 
 def _gcd_rows(a, b, p):
-    """Monic gcd of the column pairs (a, b) and its degree, by a masked
-    Euclid: while b is nonzero, a <- lead(b) a - lead(a) X^s b with
-    s = deg a - deg b drops deg a, and the pair swaps when deg a < deg b."""
+    """A gcd of the column pairs (a, b), not made monic, and its degree, by
+    a masked Euclid: while b is nonzero, a <- lead(b) a - lead(a) X^s b
+    with s = deg a - deg b drops deg a, and the pair swaps when
+    deg a < deg b."""
     idx, rows = np.arange(a.shape[1]), np.arange(a.shape[0])[:, None]
     da, db = _degrees(a), _degrees(b)
     while True:
@@ -222,8 +228,18 @@ def _gcd_rows(a, b, p):
         lead_b = np.where(live, b[db, idx], 1)
         a = (lead_b * a - lead_a * shifted) % p
         da = _degrees(a)
-    inv = pow_mod_array(a[da, idx], p - 2, p)
-    return a * inv % p, da
+    return a, da
+
+
+def _monic(a, deg, p):
+    """The columns of a, of degrees deg >= 0, divided by their leading
+    coefficients; a Fermat inverse is taken only where a column of degree
+    >= 1 does not lead with 1 already."""
+    lead = a[deg, np.arange(a.shape[1])]
+    todo = (lead != 1) & (deg > 0)
+    inv = np.ones_like(lead)
+    inv[todo] = pow_mod_array(lead[todo], p[todo] - 2, p[todo])
+    return a * inv % p
 
 
 def _int_mod(c, primes):
@@ -244,30 +260,48 @@ def _file_factors(cols, u, deg, p, hits, pending):
             pending.setdefault(m, []).append((cols[sel], u[: m + 1, sel]))
 
 
+def _unit(a):
+    """The constant polynomial 1 as a column broadcasting against a."""
+    return (np.arange(a.shape[0]) == 0)[:, None]
+
+
+def _random_residues(rng, p):
+    """One random constant in [0, p) per entry of p: 63 random bits mod p."""
+    return (np.frombuffer(rng.randbytes(8 * len(p)), dtype=np.uint64) >> np.uint64(1)).astype(np.int64) % p
+
+
+def _file_halves(cols, u, du, h, c, p, hits, pending):
+    """File the factors of squarefree columns u of degree du that
+    h = (X + c)^((p - 1)/2) mod a multiple of u separates: gcd(u, h - 1)
+    holds the roots a with a + c a nonzero square, gcd(u, h + 1) those
+    with a + c a non-square, and the root -c, where u has it, lies in
+    neither. The two gcds are made monic side by side."""
+    n, pr, one = len(cols), p[cols], _unit(h)
+    d1, deg1 = _gcd_rows(u, (h - one) % pr, pr)
+    d2, deg2 = _gcd_rows(u, (h + one) % pr, pr)
+    deg = np.concatenate((deg1, deg2))
+    d = _monic(np.hstack((d1, d2)), deg, np.concatenate((pr, pr)))
+    missed = deg[:n] + deg[n:] < du
+    hits.append((cols[missed], -c[missed] % pr[missed]))
+    _file_factors(np.concatenate((cols, cols)), d, deg, p, hits, pending)
+
+
 def _split_round(cols, u, p, rng, hits, pending):
     """One equal-degree splitting round for monic u of degree m >= 2 with m
-    distinct roots. With h = (X + c)^((p - 1)/2) mod u, each root a lies in
-    gcd(u, h - 1) or gcd(u, h + 1) by the quadratic character of a + c,
-    unless a = -c, the one root the two factors miss. Of _SPLIT_TRIES
-    constants c per column the first that puts some but not all roots in
+    distinct roots, split by `_file_halves`. Of _SPLIT_TRIES constants c
+    per column the first that puts some but not all roots in
     gcd(u, h - 1) is kept; such a c exists for every pair of distinct
     roots, and a column none of its constants splits comes back whole."""
     m, n = u.shape[0] - 1, u.shape[1]
-    one = (np.arange(m + 1) == 0)[:, None]
     uu = np.repeat(u, _SPLIT_TRIES, axis=1)
     pp = np.repeat(p[cols], _SPLIT_TRIES)
-    c = (np.frombuffer(rng.randbytes(8 * len(pp)), dtype=np.uint64) >> np.uint64(1)).astype(np.int64) % pp
+    c = _random_residues(rng, pp)
     h = np.zeros_like(uu)
     h[:m] = _pow_linear_rows(c, (pp - 1) // 2, uu, pp)
-    d1, deg1 = _gcd_rows(uu, (h - one) % pp, pp)
+    deg1 = _gcd_rows(uu, (h - _unit(h)) % pp, pp)[1]
     good = (deg1 > 0) & (deg1 < m)
     pick = np.arange(n) * _SPLIT_TRIES + np.argmax(good.reshape(n, _SPLIT_TRIES), axis=1)
-    c, pr, d1, deg1 = c[pick], pp[pick], d1[:, pick], deg1[pick]
-    d2, deg2 = _gcd_rows(u, (h[:, pick] + one) % pr, pr)
-    missed = deg1 + deg2 < m
-    hits.append((cols[missed], -c[missed] % pr[missed]))
-    _file_factors(cols, d1, deg1, p, hits, pending)
-    _file_factors(cols, d2, deg2, p, hits, pending)
+    _file_halves(cols, u, m, h[:, pick], c[pick], p, hits, pending)
 
 
 def _block_roots(coeffs, p, rng):
@@ -285,17 +319,21 @@ def _block_roots(coeffs, p, rng):
         if len(cols) == 0:
             continue
         pr = p[cols]
-        inv = pow_mod_array(coeffs[k, cols], pr - 2, pr)
-        g = coeffs[: k + 1, cols] * inv % pr
+        g = _monic(coeffs[: k + 1, cols], np.full(len(cols), k), pr)
         if k == 1:
-            u, du = g, np.ones(len(cols), dtype=np.int64)
-        else:
-            # the distinct roots of g are those of gcd(g, X^p - X)
-            h = np.zeros_like(g)
-            h[:k] = _pow_linear_rows(np.zeros(len(cols), dtype=np.int64), pr, g, pr)
-            h[1] -= 1
-            u, du = _gcd_rows(g, h % pr, pr)
-        _file_factors(cols, u, du, p, hits, pending)
+            _file_factors(cols, g, np.ones(len(cols), dtype=np.int64), p, hits, pending)
+            continue
+        # one power h = (X + c)^((p - 1)/2) mod g serves twice: since
+        # (X + c)^p = X^p + c, (X + c) h^2 - X - c = X^p - X mod g, so
+        # u = gcd(g, X^p - X) holds the distinct roots of g, and h splits u
+        c = _random_residues(rng, pr)
+        h, w = np.zeros_like(g), np.zeros_like(g)
+        h[:k] = _pow_linear_rows(c, (pr - 1) // 2, g, pr)
+        w[:k] = _times_linear(_mulmod_rows(h[:k], h[:k], g, pr), c, g, pr)
+        w[0] -= c
+        w[1] -= 1
+        u, du = _gcd_rows(g, w % pr, pr)
+        _file_halves(cols, u, du, h, c, p, hits, pending)
     while pending:
         _, parts = pending.popitem()
         _split_round(
@@ -311,9 +349,11 @@ def _block_roots(coeffs, p, rng):
 def roots_mod_primes(f, primes):
     """The roots of f mod each prime p < 2^63 of an int64 array, as sorted
     tuples in the order of `primes`: Cantor-Zassenhaus over all primes at
-    once. Columns are grouped by the degree of f mod p and made monic;
-    gcd(f, X^p - X) keeps the distinct roots, which equal-degree splitting
-    separates. p = 2 is answered by evaluation. A prime with
+    once. Columns are grouped by the degree of f mod p and made monic. One
+    power h = (X + c)^((p - 1)/2) per column, for a random c, gives both
+    gcd(f, X^p - X), which keeps the distinct roots, and a first
+    equal-degree split of it; further rounds split what that leaves whole.
+    p = 2 is answered by evaluation. A prime with
     d (p - 1)^2 < 2^63 runs on int64 entries, a wider one on Python ints,
     so every prime is served exactly: the primes are cut, in input order,
     into runs of one kind, and each run into blocks of _ROOT_BLOCK. This is

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,36 @@ def test_freq_box_is_shared_and_read_only():
             arr[0] = 0
 
 
+def _indices_freq_box(n, H):
+    """The frequency box and weights as the full-grid construction gave them."""
+    box = np.indices((2 * H + 1,) * n, dtype=np.int64).reshape(n, -1).T - H
+    box = box[box.any(axis=1)]
+    return box, np.prod(np.maximum(np.abs(box), 1), axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_freq_box_matches_the_full_grid(n):
+    for H in range(1, 7):
+        got, want = analysis._freq_box.__wrapped__(n, H), _indices_freq_box(n, H)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable
+        assert [tuple(h) for h in got[0].tolist()] == [h for h in itertools.product(range(-H, H + 1), repeat=n) if any(h)]
+
+
+def test_freq_box_holds_no_full_temporaries():
+    # besides the (F, 2) box and the F weights, one grid-sized column or
+    # weight array at a time; the full-grid construction peaked near 12 F
+    F = 601**2 - 1
+    tracemalloc.start()
+    try:
+        analysis._freq_box.__wrapped__(2, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * (F + 1) + 2**16
+
+
 def test_et_bound_takes_weights_from_its_own_freqs():
     rng = random.Random(71)
     pts = [(rng.randrange(29), rng.randrange(29)) for _ in range(30)]
@@ -412,6 +443,18 @@ def test_exact_sum_paths_at_their_limits(monkeypatch):
     assert len(seen) == 1 and len(seen[0]) == 2 * (1073 + 960 + 1)
     assert analysis._exact_sum(np.array(over)) == want[1]
     assert len(seen) == 2 and seen[1] == over
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(_SUBNORMALS, _spread_floats(-1074, 10)), max_size=80), st.integers(1, 9))
+def test_exact_sum_in_small_blocks_equals_fsum(terms, block):
+    # per-exponent sums carried across many blocks, each with its own
+    # exponent range, and a non-finite term in a late block
+    t = np.array(terms * 7, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_EXACT_SUM_BLOCK", block)
+        assert analysis._exact_sum(t) == math.fsum(terms * 7)
+        assert analysis._exact_sum(np.append(t, [1.0] * block + [math.inf])) == math.inf
 
 
 def test_frequency_modulus():

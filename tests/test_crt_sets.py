@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from crt_equidist.crt_sets import (
     supported_moduli,
 )
 from crt_equidist.generators import IntPolynomial, full_system, roots_system
-from crt_equidist.modarith import crt_combine, prime_array
+from crt_equidist.modarith import crt_combine, prime_array, require_int64
 from oracles import (
     brute_residue_set_1d,
     brute_residue_set_2d,
@@ -170,6 +171,145 @@ def test_residue_set_no_int64_overflow():
     want = crt_rows(sets, (7, P))
     assert list(residue_set(s, 7 * P).points) == want
     assert numerators_1d(s, [(7 * P, ((7, 1), (P, 1)), 4)]).tolist() == [a for (a,) in want]
+
+
+# The CRT fold that looped over the moduli in Python, reading each
+# modulus' local sets and sorting them one modulus at a time, and filling
+# five lists and calling pow once per modulus at each join step; kept as
+# the reference for `crt_sets._crt_fold`.
+
+def _per_modulus_fold(system, moduli):
+    zero = np.zeros((1, system.dimension), dtype=np.int64)
+    joins = []
+    for q, parts, *_ in moduli:
+        require_int64(q, "modulus q")
+        sets = []
+        for p, v in parts:
+            local = system.local_set(p, v)
+            if len(local) == 0:
+                sets = [(1, local)]
+                break
+            sets.append((p**v, local))
+        joins.append(sorted(sets, key=itemgetter(0), reverse=True) or [(1, zero)])
+    count, steps = len(joins), max(map(len, joins), default=0)
+    m = [sets[0][0] for sets in joins]
+    arr = np.concatenate([zero[:0]] + [sets[0][1] for sets in joins])
+    seg = np.arange(count).repeat([len(sets[0][1]) for sets in joins])
+    for step in range(1, steps):
+        sizes, off, pv, inv = [1] * count, [-1] * count, [1] * count, [0] * count
+        step_sets, total = [], 0
+        for i, sets in enumerate(joins):
+            if step < len(sets):
+                pv[i], local = sets[step]
+                sizes[i], off[i], inv[i] = len(local), total, pow(m[i], -1, pv[i])
+                step_sets.append(local)
+                total += len(local)
+        locs = np.concatenate(step_sets + [zero])
+        table = np.array((sizes, off, pv, inv, m), dtype=np.int64)
+        rep = table[0, seg]
+        ends = rep.cumsum()
+        seg = seg.repeat(rep)
+        k = np.arange(len(seg)) - (ends - rep).repeat(rep)
+        _, off, pv, inv, mod = table[:, seg, None]
+        x = arr.repeat(rep, axis=0)
+        arr = x + mod * ((locs[off[:, 0] + k] - x) * inv % pv)
+        m = (table[4] * table[2]).tolist()
+    return arr[np.lexsort((*arr.T[::-1], seg))] if steps > 1 else arr
+
+
+def _drawn_system(n, seed, log, empty=0.15, support_limit=crt_sets.DEFAULT_SUPPORT):
+    """A system whose set at p^v is drawn from a generator seeded by
+    (seed, p, v): up to four random rows, or none; `log` records every
+    call of the rule."""
+
+    def rule(p, v):
+        log.append((p, v))
+        rng = random.Random(f"{seed} {p} {v}")
+        if rng.random() < empty:
+            return ()
+        return {tuple(rng.randrange(p**v) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+
+    return LocalSystem(n, rule, support_limit)
+
+
+def _fold_outcome(fold, system, chunks):
+    try:
+        return [fold(system, chunk) for chunk in chunks]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_folds(n, seed, chunks, warm=(), **kw):
+    """The fold and the reference give the same arrays, or the same refusal,
+    from fresh systems that call their rules in the same order."""
+    logs = [], []
+    systems = [_drawn_system(n, seed, log, **kw) for log in logs]
+    for s in systems:
+        for p, v in warm:
+            s.local_set(p, v)
+    got, want = (_fold_outcome(f, s, chunks) for f, s in zip((crt_sets._crt_fold, _per_modulus_fold), systems))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and a.shape == b.shape and np.array_equal(a, b)
+    assert logs[0] == logs[1]
+    return want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_crt_fold_matches_the_per_modulus_fold(n):
+    # every q < 3000 and some prime powers, so empty sets and v >= 2 occur;
+    # half the sets are cached first and the rest are missed mid-fold
+    rng = random.Random(1900 + n)
+    qs = list(range(1, 3000, 1 + n)) + [2**11, 3**7, 5**4 * 7**3, 2**5 * 3**3 * 5**2]
+    items = [(q, tuple(trial_factorize(q)), None) for q in qs]
+    warm = rng.sample(sorted({pv for _, parts, _ in items for pv in parts}), 150)
+    for size in (1, 2, 29, len(items)):
+        chunks = [items[i : i + size] for i in range(0, len(items), size)]
+        out = _assert_same_folds(n, 19 + size, chunks, warm)
+        assert sum(len(a) for a in out) > len(items) // 2
+
+
+def test_crt_fold_refuses_where_the_per_modulus_fold_does():
+    # a prime power past the support limit is refused by the same message,
+    # after the same rule calls; one after an empty set is never read
+    rng = random.Random(1905)
+    refused = 0
+    for trial in range(40):
+        limit = rng.randrange(50, 1000)
+        qs = sorted(rng.sample(range(2, 1000), 30))
+        chunk = [(q, tuple(trial_factorize(q))) for q in qs]
+        out = _assert_same_folds(rng.choice([1, 2]), trial, [chunk], empty=0.3, support_limit=limit)
+        refused += isinstance(out, str)
+    assert 10 < refused < 40
+    # q past int64 is refused after the sets of the items before it
+    big = [(6, ((2, 1), (3, 1))), (2**63 + 1, ((3, 2), (2**63 // 9, 1))), (10, ((2, 1), (5, 1)))]
+    out = _assert_same_folds(1, 1, [big], empty=0)
+    assert out == "modulus q = 9223372036854775809 is at least 2^63, past the int64 range"
+    out = _assert_same_folds(1, 1, [big], empty=0, support_limit=2)
+    assert out == "prime power 3^1 = 3 beyond support limit 2"
+
+
+def test_crt_fold_near_2_63():
+    # products of the join stay below q; 2^61 - 1 and 2^63 - 25 are prime,
+    # and 2147483659 is the first prime past 2^31
+    m61 = 2**61 - 1
+    items = [
+        (4 * m61, ((2, 2), (m61, 1))),
+        (3 * m61, ((3, 1), (m61, 1))),
+        ((2**31 - 1) * 2147483659, ((2**31 - 1, 1), (2147483659, 1))),
+        (2**63 - 25, ((2**63 - 25, 1),)),
+        (2**62, ((2, 62),)),
+        (3**39, ((3, 39),)),
+        (2**20 * 3**12 * 5**8 * 7, ((2, 20), (3, 12), (5, 8), (7, 1))),
+    ]
+    assert all(q < 2**63 and q == math.prod(p**v for p, v in parts) for q, parts in items)
+    for n in (1, 2, 3):
+        out = _assert_same_folds(n, 7, [items, items[::-1]] + [[item] for item in items], empty=0, support_limit=2**63)
+        qs = np.repeat([q for q, _ in items], [len(a) for a in out[2:]])
+        assert (out[0] >= 0).all() and (out[0] < qs[:, None]).all()
 
 
 def test_residue_set_large_moduli_vs_crt_combine():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,22 @@ def test_root_counts_match_int64_loop(which):
     for x in [*range(2, 301), 20000]:
         P = prime_array(x)
         assert _root_count_chunk(pp, P).tolist() == _int64_root_counts(pp, P).tolist(), (which, x)
+
+
+def test_f3_kernel_makes_no_buffer_sized_float_temporary():
+    # f3's first-step hit check goes row by row through the kernel's scratch,
+    # so its peak stays at f2's: a float copy of the (4, m) buffer would add
+    # 4 m 8 bytes
+    P = prime_array(20000)
+    peaks = []
+    for which in ("f2", "f3"):
+        tracemalloc.start()
+        try:
+            _root_count_chunk(PseudoPoly(which), P)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + len(P) * 8
 
 
 @pytest.mark.parametrize("which", ["f1", "f2", "f3"])

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import types
 
 import numpy as np
 import pytest
@@ -695,6 +696,63 @@ def test_roots_mod_primes_invariant_under_blocks_and_tries(monkeypatch):
         for p, roots in zip(primes, got):
             if p not in wide:
                 assert roots == tuple(sorted(brute_poly_roots(f, p))), (f.coeffs, p)
+
+
+def test_roots_mod_primes_vs_brute_force_below_2000():
+    # random polynomials, some with repeated roots; a leading coefficient
+    # of 30 or 210 vanishes mod 2, 3, 5 (and 7), where the degree drops;
+    # p = 2 is in every batch
+    rng = random.Random(1901)
+    primes = prime_array(2000).tolist()
+    polys = [_product((-3, 1), (-3, 1), (-3, 1), (5, 1)), _with_roots((4, 4, 9, 9, 1000)), _times(X2P1, X2P1)]
+    for _ in range(16):
+        lead = rng.choice([1, -1, 2, 30, 210])
+        polys.append(IntPolynomial(tuple(rng.randint(-60, 60) for _ in range(rng.randint(1, 6))) + (lead,)))
+    for f in polys:
+        ps = [p for p in primes if f.nonzero_mod(p)]
+        assert ps[0] == 2 or not f.nonzero_mod(2)
+        for p, roots in zip(ps, roots_mod_primes(f, ps)):
+            assert roots == tuple(sorted(brute_poly_roots(f, p))), (f.coeffs, p)
+
+
+# roots_mod_primes of the previous root finder, which paid for X^p mod f
+# before its splitting powers, at primes served on Python-int rows
+_WIDE = (2147483659, 4000000007, 2**61 - 1, 9223372036854775783)
+_WIDE_ROOTS = {
+    (-796983, 838141, -143495, -801859, 1): [
+        (1991601585,), (2926123878,), (1486028347143421269,), (3902387701230860452,)
+    ],
+    (-620405, -702061, 638574, 520153, 313158, 1): [
+        (), (1308760883, 2454876084), (36231675236509992, 1548594532537136502), ()
+    ],
+    (-4774997580025613465, 682204084087728954, -1099512248240, -1099511627778, 1): [
+        (7, 2147478030),
+        (7, 760175187, 3239824812, 3511625861),
+        (7, 1099511627779, 925238355455986134, 1380604653757707809),
+        (7, 1099511627779),
+    ],
+    (75, -30, -272, 135, -21, 1): [
+        (5,), (5,), (5, 873536582104054457, 1511271894592332736, 2226877541731000720), (5, 6690549394489945898)
+    ],
+}
+
+
+def test_roots_mod_primes_wide_primes_as_before():
+    for coeffs, want in _WIDE_ROOTS.items():
+        f = IntPolynomial(coeffs)
+        got = roots_mod_primes(f, _WIDE)
+        assert got == want
+        assert all(f(a, p) == 0 for p, roots in zip(_WIDE, got) for a in roots)
+
+
+def test_roots_mod_primes_same_under_other_seeds(monkeypatch):
+    # the splitting constants steer only the search
+    primes = prime_array(3000).tolist() + list(_WIDE)
+    polys = [IntPolynomial(c) for c in _WIDE_ROOTS] + [_with_roots((1, 1, 5, 2**20, 3**12)), _times(X2P1, X2P1)]
+    want = [roots_mod_primes(f, primes) for f in polys]
+    for seed in (1, 2**40 + 1):
+        monkeypatch.setattr(generators, "random", types.SimpleNamespace(Random=lambda _, s=seed: random.Random(s)))
+        assert [roots_mod_primes(f, primes) for f in polys] == want
 
 
 def test_pow_mod_array_elementwise():
