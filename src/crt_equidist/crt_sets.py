@@ -190,25 +190,25 @@ _IDLE = np.array([1, 0, 1, 1, 0])[:, None, None]
 def _read_sets(system, moduli):
     """The (p, v) parts of the (q, parts, ...) items, flattened, their local
     sets and the sizes of those; an item without parts has the part _UNIT.
-    Cached sets come from the cache, and the misses are read in the order
-    of a loop over the items that reads each item's parts in ascending p
-    and stops at its first empty set, so that a refusal names the prime
-    power such a loop meets first. A part such a loop never reaches gets
-    an empty set."""
+    Unless every set is cached and every q below 2^63, one loop over the
+    items refuses a q >= 2^63, then reads its parts in ascending p up to
+    its first empty set, which the later parts share, so that a refusal
+    names what a per-modulus loop meets first."""
     keys = [key for item in moduli for key in item[1] or _UNIT]
     sets = list(map(system._cache.get, keys))
     try:
-        return keys, sets, list(map(len, sets))
+        if max((item[0] for item in moduli), default=0) < INT64_LIMIT:
+            return keys, sets, list(map(len, sets))
     except TypeError:  # a miss, None
         pass
-    zero = np.zeros((1, system.dimension), dtype=np.int64)
-    counts = [len(item[1]) or 1 for item in moduli]
-    start = [b for b, c in zip(itertools.accumulate(counts, initial=0), counts) for _ in range(c)]
-    for i in [i for i, got in enumerate(sets) if got is None]:
-        if any(len(got) == 0 for got in sets[start[i] : i]):
-            sets[i] = zero[:0]
-        else:
-            sets[i] = zero if keys[i] == _UNIT[0] else system.local_set(*keys[i])
+    zero, sets = np.zeros((1, system.dimension), dtype=np.int64), []
+    for item in moduli:
+        require_int64(item[0], "modulus q")
+        got = zero
+        for key in item[1] or _UNIT:
+            if len(got) and key != _UNIT[0]:
+                got = system.local_set(*key)
+            sets.append(got)
     return keys, sets, list(map(len, sets))
 
 
@@ -240,12 +240,6 @@ def _crt_fold(system, moduli):
     with p^v < m, so the digit is solved modulo p^v: |y - x| < m and the
     inverse is below p^v, so every product stays below m * p^v <= q <
     2^63."""
-    qs = [item[0] for item in moduli]
-    if max(qs, default=0) >= INT64_LIMIT:
-        # the sets a loop over the items reads before that q come first
-        first = next(i for i, q in enumerate(qs) if q >= INT64_LIMIT)
-        _read_sets(system, moduli[:first])
-        require_int64(qs[first], "modulus q")
     keys, sets, sizes = _read_sets(system, moduli)
     counts = [len(item[1]) or 1 for item in moduli]
     steps, count = max(counts, default=1), len(moduli)

@@ -19,7 +19,6 @@ class RationalExpSumSpec:
 
     f1: IntPolynomial
     f2: IntPolynomial
-    weil_constant_hint: int = None
 
     def __post_init__(self):
         if self.f2.degree < 0:
@@ -48,14 +47,12 @@ def normalized_exp_sum(spec, a, q):
     ns = np.arange(q, dtype=np.int64)
     f1v = spec.f1(ns, q)
     f2v = spec.f2(ns, q)
-    keep = np.nonzero(np.gcd(f2v, q) == 1)[0]
-    if len(keep) == 0:
+    keep = np.gcd(f2v, q) == 1
+    if not keep.any():
         return complex(0.0)
-    ts = np.fromiter(
-        ((a * int(f1v[n]) * pow(int(f2v[n]), -1, q)) % q for n in keep),
-        dtype=np.int64,
-        count=len(keep),
-    )
+    # Euler: x^(phi(q) - 1) inverts x mod the squarefree q
+    inv = pow_mod_array(f2v[keep], math.prod(p - 1 for p, _ in parts) - 1, q)
+    ts = a * f1v[keep] % q * inv % q
     return complex(np.exp((2j * np.pi / q) * ts).sum() / math.sqrt(q))
 
 

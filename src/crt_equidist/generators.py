@@ -392,7 +392,7 @@ def poly_roots_mod_prime_power(f, p, v, roots=None):
     or none is."""
     if v < 1:
         raise ValueError(f"exponent must be >= 1, got {v}")
-    if v * math.log2(p) >= 63:
+    if p**v >= INT64_LIMIT:
         raise ValueError(f"{p}^{v} exceeds the 64-bit working range")
     cur = roots_mod_primes(f, [p])[0] if roots is None else roots
     deriv = f.derivative()

@@ -55,17 +55,7 @@ def sieve_primes(limit):
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    for d in (2, 3, 5, 7):
-        if p % d == 0:
-            return p == d
-    d = 11
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p >= 2 and factor_tuples(p) == [(p, 1)]
 
 
 @dataclass(frozen=True)
@@ -169,13 +159,12 @@ def crt_combine(residues):
 
 
 def spf_table(limit):
-    """Smallest-prime-factor table up to limit (index 0 and 1 unused)."""
+    """Smallest-prime-factor table up to limit (index 0 and 1 unused). The
+    primes up to sqrt(limit) mark their multiples in descending order, so
+    the smallest prime is written last; the unmarked indices are primes."""
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-            spf[p] = p
+    for p in prime_array(math.isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest
     return spf

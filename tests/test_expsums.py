@@ -61,6 +61,42 @@ def test_v_matches_direct_summation():
         assert abs(normalized_exp_sum(spec, a, q) - direct_v(spec, a, q)) < 1e-10
 
 
+def _normalized_exp_sum_per_n(spec, a, q):
+    """Reference: the sum with one Python pow(x, -1, q) per n."""
+    ns = np.arange(q, dtype=np.int64)
+    f1v, f2v = spec.f1(ns, q), spec.f2(ns, q)
+    keep = np.nonzero(np.gcd(f2v, q) == 1)[0]
+    ts = np.fromiter(
+        ((a * int(f1v[n]) * pow(int(f2v[n]), -1, q)) % q for n in keep),
+        dtype=np.int64,
+        count=len(keep),
+    )
+    return complex(np.exp((2j * np.pi / q) * ts).sum() / math.sqrt(q))
+
+
+def test_v_matches_the_per_n_inverse():
+    # f2 = X and f2 = X^2 + 1 share a factor with q at n = 0, and at the
+    # roots of -1 mod the primes p = 1 (mod 4) and p = 2 dividing q
+    rng = random.Random(83)
+    specs = [
+        KLOOSTERMAN,
+        RationalExpSumSpec(IntPolynomial((3, -2, 0, 1)), IntPolynomial((1, 0, 1))),
+    ]
+    checked = 0
+    while checked < 40:
+        q = rng.randrange(2, 30031)
+        if any(q % (p * p) == 0 for p in range(2, math.isqrt(q) + 1)):
+            continue
+        a = rng.randrange(1, q)
+        for spec in specs:
+            assert normalized_exp_sum(spec, a, q) == _normalized_exp_sum_per_n(spec, a, q), (q, a)
+        checked += 1
+    # the two moduli the search must cover, whatever the draw
+    for spec in specs:
+        assert normalized_exp_sum(spec, 7, 30030) == _normalized_exp_sum_per_n(spec, 7, 30030)
+        assert normalized_exp_sum(spec, 5, 2 * 5 * 13) == _normalized_exp_sum_per_n(spec, 5, 2 * 5 * 13)
+
+
 def test_kloosterman_real():
     for p in (3, 5, 7, 11, 101, 211, 499):
         for a in (1, 2, p - 1):

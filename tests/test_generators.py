@@ -64,6 +64,16 @@ def test_poly_errors():
         poly_roots_mod_prime_power(X2P1, 5, 0)
 
 
+def test_poly_64_bit_limit_is_exact():
+    # p^v < 2^63 is served, p^v >= 2^63 refused; the CLI's default support
+    # limit, crt_sets.DEFAULT_SUPPORT = 2^62, refuses these primes first
+    assert poly_roots_mod_prime_power(IntPolynomial((-1, 1)), 2**63 - 25, 1) == (1,)
+    assert poly_roots_mod_prime_power(IntPolynomial((-1, 1)), 3, 39) == (1,)
+    for p, v in ((2, 63), (3, 40)):
+        with pytest.raises(ValueError, match="64-bit"):
+            poly_roots_mod_prime_power(IntPolynomial((-1, 1)), p, v)
+
+
 def test_poly_random_vs_brute():
     rng = random.Random(20260823)
     powers = [(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 3), (5, 2), (7, 1), (7, 3),

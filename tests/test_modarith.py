@@ -89,6 +89,10 @@ def test_prime_power_validation():
         PrimePower(3, 0)
     with pytest.raises(ValueError):
         Factorization(10, (PrimePower(2, 1),))
+    for not_prime in (0, 1, -7, (10**6 + 3) ** 2):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimePower(not_prime, 1)
+    assert PrimePower(10**12 + 39, 1).value == 10**12 + 39
 
 
 def test_mod_inverse_examples():
@@ -148,3 +152,24 @@ def test_spf_table_agrees_with_trial_division():
     for q in range(2, 5001):
         assert spf_factor(q, spf) == trial_factorize(q)
         assert spf_factor(q, spf) == factor_tuples(q)
+
+
+def _spf_table_masked(limit):
+    """Reference: each p <= sqrt(limit) not marked yet writes itself into
+    the unmarked slots of its multiples from p^2 on, in ascending p."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+            spf[p] = p
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    return spf
+
+
+def test_spf_table_matches_the_masked_sieve():
+    for limit in (0, 1, 2, 3, 4, 400, 5000, 100003):
+        got, want = spf_table(limit), _spf_table_masked(limit)
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want), limit
