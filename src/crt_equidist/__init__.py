@@ -32,6 +32,7 @@ from .generators import (
     BivariatePoly,
     PseudoPoly,
     poly_roots_mod_prime_power,
+    prime_root_arrays,
     roots_mod_primes,
     roots_system,
     veronese_system,

@@ -361,8 +361,9 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     (n <= 2); bounds mode pairs a seeded coordinate-restricted random
     search (lower bound) with an Erdos-Turan bound (upper) at the largest
     H <= 64 that fits `budget`. An H over `budget`, given or automatic, is
-    refused before any other work. Bounds mode, and every mode with H
-    given, returns the Weyl spectrum at H as `spectrum`."""
+    refused before any other work; in bounds mode, so is an H whose
+    spectrum would pass int64 (n*H*(q-1) >= 2^63). Bounds mode, and every
+    mode with H given, returns the Weyl spectrum at H as `spectrum`."""
     if mode not in ("exact", "bounds"):
         raise ValueError(f"unknown mode {mode!r}")
     q, pts = ps.denominator, ps.array
@@ -379,6 +380,9 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
         if h_given:
             result.spectrum = weyl_spectrum(ps, H)
         return result
+    # the spectrum before the search, so that its int64 bound
+    # n*H*(q-1) < 2^63 refuses before any trial
+    spectrum = weyl_spectrum(ps, H)
     # every corner first, in trial order: low corner, then high, axis by axis
     rng = random.Random(seed)
     axes = [np.unique(pts[:, a]).tolist() for a in range(n)]
@@ -402,7 +406,6 @@ def box_discrepancy(ps, mode="exact", budget=50_000_000, seed=0, H=None):
     best = max(scores)
     # the witness is the first trial with the largest score, if it deviates
     box = corners[scores.index(best)].reshape(2, n).tolist() if best > 0 else None
-    spectrum = weyl_spectrum(ps, H)
     return DiscrepancyResult(
         method="sampled",
         bounds=(best / (N * qn), erdos_turan_bound(spectrum)),
@@ -681,29 +684,33 @@ def aggregate_stats(
             for axis, (lo, hi) in enumerate(reg):
                 inside &= (pts[:, axis] >= math.ceil(lo * q)) & (pts[:, axis] <= math.floor(hi * q))
             mass_count = int(inside.sum())
-        return (q, rho, disc, mass_count, method)
+        return q, rho, disc, mass_count
 
     moduli = iter_supported(system, x, k)
     if exact_1d:
-        rows = [row for chunk in _point_chunks(moduli) for row in _exact_1d_rows(system, chunk, reg)]
+        chunks = [_exact_1d_columns(system, chunk, reg) for chunk in _point_chunks(moduli)]
     else:
         moduli = list(moduli)
         if disc_mode != "exact" and moduli:
             # one check for the largest A_q refuses before any spectrum
             _require_spectrum_budget(max(rho for *_, rho in moduli), n, h_val, budget, h_given=isinstance(H, int))
         rows = [handle(q, rho) for q, _, rho in moduli]
+        chunks = [tuple(map(np.array, zip(*rows)))] if rows else []
 
-    if not rows:
+    if not chunks:
         raise NoSupportedModuliError(f"no supported moduli up to {x}" + (f" with k={k}" if k else ""))
-    count = len(rows)
-    total = sum(r[1] for r in rows)
+    # one int64 or float64 column per field; rho, mass and the point total
+    # stay far below 2^53, so the float64 products and quotients round as
+    # the Python ones do
+    qs, rho, disc, mass = (None if c[0] is None else np.concatenate(c) for c in zip(*chunks))
+    count = len(qs)
+    total = int(rho.sum())
     if weighting == "uniform":
-        disc_avg = math.fsum(r[2] for r in rows) / count
-        mass = math.fsum(r[3] / r[1] for r in rows) / count if reg else None
+        disc_avg = math.fsum(disc) / count
+        mass = math.fsum(mass / rho) / count if reg else None
     else:
-        disc_avg = math.fsum(r[1] * r[2] for r in rows) / total
-        mass = sum(r[3] for r in rows) / total if reg else None
-    method = rows[0][4]
+        disc_avg = math.fsum(rho * disc) / total
+        mass = int(mass.sum()) / total if reg else None
     return AggregateStats(
         x=x,
         k=k,
@@ -712,8 +719,8 @@ def aggregate_stats(
         point_total=total,
         disc_average=disc_avg,
         region_mass=mass,
-        method=method,
-        per_q=tuple((r[0], r[1], r[2]) for r in rows) if include_per_q else None,
+        method="exact" if exact_1d or disc_mode == "exact" else "erdos_turan",
+        per_q=tuple(zip(qs.tolist(), rho.tolist(), disc.tolist())) if include_per_q else None,
     )
 
 
@@ -737,25 +744,32 @@ def _point_chunks(moduli):
         yield chunk
 
 
-def _exact_1d_rows(system, chunk, reg):
-    """The (q, rho, disc, mass_count, "exact") rows of a chunk of supported
-    moduli of a 1-dimensional system, from one CRT fold and one arc scan."""
-    q_list = [q for q, _, _ in chunk]
-    rho_list = [rho for _, _, rho in chunk]
-    qs, rho = np.array(q_list, dtype=np.int64), np.array(rho_list, dtype=np.int64)
+def _exact_1d_columns(system, chunk, reg):
+    """The q, rho, disc and mass_count columns (int64, int64, float64, and
+    int64 or None without a region) of a chunk of supported moduli of a
+    1-dimensional system, from one CRT fold and one arc scan."""
+    qs = np.array([q for q, _, _ in chunk], dtype=np.int64)
+    rho = np.array([rho for _, _, rho in chunk], dtype=np.int64)
     nums = numerators_1d(system, chunk)
     num, _, _ = _closed_arc_scan(nums, np.ones(len(nums), dtype=np.int64), qs, rho)
     # the scan refused N*q >= 2^63; int / int is correctly rounded
-    disc = [a / b for a, b in zip(num.tolist(), (rho * qs).tolist())]
-    mass = [None] * len(chunk)
+    disc = np.array([a / b for a, b in zip(num.tolist(), (rho * qs).tolist())], dtype=np.float64)
+    mass = None
     if reg:
         ((lo, hi),) = reg
         # clamped to [-1, q], where they count the same points and fit int64
-        lo_q = [min(max(math.ceil(lo * q), -1), q) for q in q_list]
-        hi_q = [min(max(math.floor(hi * q), -1), q) for q in q_list]
+        lo_q = [min(max(math.ceil(lo * q), -1), q) for q in qs.tolist()]
+        hi_q = [min(max(math.floor(hi * q), -1), q) for q in qs.tolist()]
         inside = (nums >= np.repeat(lo_q, rho)) & (nums <= np.repeat(hi_q, rho))
-        mass = np.add.reduceat(inside, np.cumsum(rho) - rho, dtype=np.int64).tolist()
-    return zip(q_list, rho_list, disc, mass, ["exact"] * len(chunk))
+        mass = np.add.reduceat(inside, np.cumsum(rho) - rho, dtype=np.int64)
+    return qs, rho, disc, mass
+
+
+def _exact_1d_rows(system, chunk, reg):
+    """`_exact_1d_columns` as (q, rho, disc, mass_count, "exact") rows."""
+    qs, rho, disc, mass = _exact_1d_columns(system, chunk, reg)
+    masses = [None] * len(qs) if mass is None else mass.tolist()
+    return zip(qs.tolist(), rho.tolist(), disc.tolist(), masses, ["exact"] * len(qs))
 
 
 def _auto_H(system, x):

@@ -1,8 +1,9 @@
 """Local residue systems, their CRT assembly, counting and hyperplane
 statistics, and enumeration of the supported moduli."""
 
-import itertools
+import bisect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -14,14 +15,141 @@ from .modarith import INT64_LIMIT, PrimePower, factor_tuples, prime_array, requi
 DEFAULT_SUPPORT = 2**62
 
 
+# up to this many parts, a read goes part by part: numpy calls on a few
+# elements cost more than the Python steps they would save
+_FEW_PARTS = 8
+
+
+class _SetStore(Mapping):
+    """The local sets of one system, read as a mapping from (p, v) to the
+    set's read-only (L, n) int64 array. Every set is a run of rows at a
+    global row index. The rows lie in segments that are never copied or
+    grown: a set that does not fit in the last one starts a new one with
+    room for twice the rows stored so far (or twice the set), so there are
+    few. Row 0 is the zero row, the unit's set (see `_read_sets`). An
+    index sorted by p^v, which names (p, v) since p is prime, holds each
+    set's start and size, and v, so that the keys read back as (p, v). A
+    batch enters the index at once. A single set enters its segment at
+    once, but its index entry waits in `_pending` until the next
+    vectorized read (`locate`) merges every waiting entry in one sort, so
+    a run of misses costs no merge each. A set's array, a view into its
+    segment, is made once, when it is first asked for."""
+
+    def __init__(self, dimension):
+        self._segments = [np.zeros((1, dimension), dtype=np.int64)]
+        self._bases = [0]  # the global index of each segment's first row
+        self._used = 1
+        self._keys = self._starts = self._sizes = np.zeros(0, dtype=np.int64)
+        self._exps = np.zeros(0, dtype=np.int8)
+        self._pending = {}  # (p, v) -> (start, size)
+        self._views = {}
+
+    def _append(self, rows):
+        start = self._used
+        if start + len(rows) > self._bases[-1] + len(self._segments[-1]):
+            # the misses after a batch share its segment; pages never
+            # written take no memory
+            self._segments.append(np.empty((2 * max(len(rows), start), rows.shape[1]), dtype=np.int64))
+            self._bases.append(start)
+        self._used = start + len(rows)
+        self._segments[-1][start - self._bases[-1] : self._used - self._bases[-1]] = rows
+        return start
+
+    def slice(self, start, size):
+        """The rows start .. start + size - 1, in place."""
+        i = bisect.bisect_right(self._bases, start) - 1
+        return self._segments[i][start - self._bases[i] : start - self._bases[i] + size]
+
+    def gather(self, starts, sizes):
+        """The rows of the sets at (starts, sizes), one set after another,
+        and the offset of each set among them. A few sets, or large ones,
+        are copied whole, many small ones gathered row by row."""
+        offsets = sizes.cumsum() - sizes
+        if len(sizes) <= _FEW_PARTS or sizes.sum() > 64 * len(sizes):
+            return np.concatenate([self.slice(*at) for at in zip(starts.tolist(), sizes.tolist())]), offsets
+        at = np.arange(sizes.sum()) + (starts - offsets).repeat(sizes)
+        if not len(at) or at.min() >= self._bases[-1]:
+            return self._segments[-1][at - self._bases[-1]], offsets
+        seg = np.searchsorted(self._bases, at + 1) - 1
+        out = np.empty((len(at), self._segments[0].shape[1]), dtype=np.int64)
+        for i in np.flatnonzero(np.bincount(seg, minlength=len(self._bases))).tolist():
+            here = seg == i
+            out[here] = self._segments[i][at[here] - self._bases[i]]
+        return out, offsets
+
+    def _index(self, pvs, exps, starts, sizes):
+        """Merge entries into the index; of equal keys the first stays."""
+        cols = zip((self._keys, self._exps, self._starts, self._sizes), (pvs, exps, starts, sizes))
+        keys, exps, starts, sizes = (np.concatenate((a, b), dtype=a.dtype) for a, b in cols)
+        order = keys.argsort(kind="stable")
+        order = order[np.diff(keys[order], prepend=-1) != 0]
+        self._keys, self._exps, self._starts, self._sizes = keys[order], exps[order], starts[order], sizes[order]
+
+    def add(self, p, v, rows):
+        """Store one set and return its (start, size); it joins the index
+        at the next `locate`."""
+        got = self._pending[(p, v)] = (self._append(rows), len(rows))
+        return got
+
+    def add_batch(self, pvs, v, rows, sizes):
+        """Store and index a batch: sizes[i] rows for the p^v in pvs[i]."""
+        self._index(pvs, np.full(len(pvs), v), self._append(rows) + sizes.cumsum() - sizes, sizes)
+
+    def locate(self, pvs):
+        """(starts, sizes) of the sets at an int64 array of p^v; size -1
+        where no set is stored."""
+        if self._pending:
+            self._index(*np.array([(p**v, v, *at) for (p, v), at in self._pending.items()], dtype=np.int64).T)
+            self._pending = {}
+        if not len(self._keys):
+            return np.zeros(len(pvs), dtype=np.int64), np.full(len(pvs), -1, dtype=np.int64)
+        i = np.minimum(self._keys.searchsorted(pvs), len(self._keys) - 1)
+        found = self._keys[i] == pvs
+        return np.where(found, self._starts[i], 0), np.where(found, self._sizes[i], -1)
+
+    def find(self, p, v):
+        """(start, size) of the set at p^v, or None."""
+        got = self._pending.get((p, v))
+        pv = p**v
+        if got is None and pv < INT64_LIMIT:
+            i = int(self._keys.searchsorted(pv))
+            if i < len(self._keys) and self._keys[i] == pv:
+                got = int(self._starts[i]), int(self._sizes[i])
+        return got
+
+    def __getitem__(self, key):
+        got = self._views.get(key)
+        if got is None:
+            at = self.find(*key)
+            if at is None:
+                raise KeyError(key)
+            got = self.slice(*at)
+            got.setflags(write=False)
+            self._views[key] = got
+        return got
+
+    def __contains__(self, key):
+        return key in self._views or self.find(*key) is not None
+
+    def __iter__(self):
+        for pv, v in zip(self._keys.tolist(), self._exps.tolist()):
+            yield (pv if v == 1 else round(pv ** (1 / v))), v
+        yield from self._pending
+
+    def __len__(self):
+        return len(self._keys) + len(self._pending)
+
+
 class LocalSystem:
     """A deterministic rule assigning to each prime power p^v < 2^63 a
     finite set of residue tuples mod p^v: a `range`, a 1-D or (L, n) integer
     array, or an iterable of ints (n = 1) or tuples, duplicates allowed. Each
-    set is cached as a read-only (L, n) int64 array of distinct rows in
-    lexicographic order. `size_rule`, when given, answers cardinality queries
-    without materializing the set. `bulk_rule`, when given, maps an int64
-    array of primes to the list of their sets at v = 1 (see `prefill`).
+    set is stored as (L, n) int64 rows, distinct and in lexicographic order,
+    in one flat store (`_SetStore`), and `local_set` reads it as a read-only
+    array. `size_rule`, when given, answers cardinality queries without
+    materializing the set. `bulk_rule`, when given, maps an int64 array of
+    primes to their sets at v = 1: a list with one set per prime, or a tuple
+    (sizes, rows) of arrays, sizes[i] rows for prime i (see `prefill`).
     Local hyperplane maxima and `local_profile` results are cached too."""
 
     def __init__(self, dimension, rule, support_limit=DEFAULT_SUPPORT, name="", size_rule=None, bulk_rule=None):
@@ -33,7 +161,7 @@ class LocalSystem:
         self.name = name
         self.size_rule = size_rule
         self.bulk_rule = bulk_rule
-        self._cache = {}
+        self._cache = _SetStore(dimension)
         self._hyperplane_max = {}
         self._profile = {}
 
@@ -44,27 +172,32 @@ class LocalSystem:
         if p**v > self.support_limit:
             raise ValueError(f"prime power {p}^{v} = {p**v} beyond support limit {self.support_limit}")
 
-    def _store(self, keys, raws):
-        """Check the sets the rule gave for the (p, v) of `keys` in one
-        vectorized pass, each row tagged with the index of its key; cache
-        them as read-only arrays of distinct sorted rows and return those."""
+    def _store(self, ps, v, raws):
+        """Check the sets the rule gave at p^v for the primes of the int64
+        array `ps` in one vectorized pass, each row tagged with the index of
+        its prime; return their distinct rows, sorted set by set, and the
+        size of each set. `raws` holds one set per prime, or is a tuple
+        (sizes, rows) of arrays."""
         n = self.dimension
-        for p, v in keys:
-            require_int64(p**v, f"prime power {p}^{v}")
-        values = np.array([p**v for p, v in keys], dtype=np.int64)
+        values = ps**v
         blocks, segs, loose, loose_seg = [], [], [], []
-        for i, raw in zip(range(len(keys)), raws, strict=True):
-            if isinstance(raw, range):
-                # np.arange needs int64 bounds: a range reaching past [0, p^v) goes on as its two ends
-                fits = not raw or 0 <= min(raw) <= max(raw) < values[i]
-                raw = np.arange(raw.start, raw.stop, raw.step, dtype=np.int64) if fits else [min(raw), max(raw)]
-            if isinstance(raw, np.ndarray) and raw.dtype == np.int64:
-                blocks.append(raw)
-                segs.append(np.full(len(raw), i))
-            else:
-                items = raw.tolist() if isinstance(raw, np.ndarray) else list(raw)
-                loose += items
-                loose_seg += [i] * len(items)
+        if isinstance(raws, tuple):
+            sizes, rows = raws
+            blocks.append(rows)
+            segs.append(np.arange(len(ps)).repeat(sizes))
+        else:
+            for i, raw in zip(range(len(ps)), raws, strict=True):
+                if isinstance(raw, range):
+                    # np.arange needs int64 bounds: a range reaching past [0, p^v) goes on as its two ends
+                    fits = not raw or 0 <= min(raw) <= max(raw) < values[i]
+                    raw = np.arange(raw.start, raw.stop, raw.step, dtype=np.int64) if fits else [min(raw), max(raw)]
+                if isinstance(raw, np.ndarray) and raw.dtype == np.int64:
+                    blocks.append(raw)
+                    segs.append(np.full(len(raw), i))
+                else:
+                    items = raw.tolist() if isinstance(raw, np.ndarray) else list(raw)
+                    loose += items
+                    loose_seg += [i] * len(items)
         try:
             blocks.append(np.array(loose, dtype=np.int64))
         except (ValueError, TypeError, OverflowError):
@@ -74,7 +207,7 @@ class LocalSystem:
                 if len(t) != n:
                     raise ValueError(f"tuple {t} has wrong dimension for n={n}") from None
                 if not all(0 <= c < values[i] for c in t):
-                    raise ValueError(f"coordinates of {t} not canonical mod {keys[i][0]}^{keys[i][1]}") from None
+                    raise ValueError(f"coordinates of {t} not canonical mod {ps[i]}^{v}") from None
             blocks.append(np.array(tuples, dtype=np.int64))
         segs.append(np.array(loose_seg, dtype=np.int64))
         blocks = [b[:, None] if b.ndim == 1 else b for b in blocks]
@@ -87,40 +220,71 @@ class LocalSystem:
         bad = ((rows < 0) | (rows >= values[seg, None])).any(axis=1)
         if bad.any():
             j = bad.argmax()
-            p, v = keys[seg[j]]
-            raise ValueError(f"coordinates of {tuple(rows[j].tolist())} not canonical mod {p}^{v}")
+            raise ValueError(f"coordinates of {tuple(rows[j].tolist())} not canonical mod {ps[seg[j]]}^{v}")
         # a row equal to its predecessor in the same set is a duplicate
         keep = np.ones(len(rows), dtype=bool)
         keep[1:] = (seg[1:] != seg[:-1]) | (rows[1:] != rows[:-1]).any(axis=1)
-        rows, seg = rows[keep], seg[keep]
-        rows.setflags(write=False)
-        ends = np.bincount(seg, minlength=len(keys)).cumsum().tolist()
-        return [self._cache.setdefault(key, rows[a:b]) for key, a, b in zip(keys, [0] + ends, ends)]
+        return rows[keep], np.bincount(seg[keep], minlength=len(ps))
+
+    def _read(self, p, v):
+        """(start, size) of the stored set at p^v, storing the rule's set
+        first when there is none."""
+        got = self._cache.find(p, v)
+        if got is None:
+            self._check_support(p, v)
+            require_int64(p**v, f"prime power {p}^{v}")
+            rows, _ = self._store(np.array([p], dtype=np.int64), v, [self.rule(p, v)])
+            got = self._cache.add(p, v, rows)
+        return got
+
+    def _rows(self, p, v=1):
+        """The set for p^v as a view into the store, which `local_set`
+        does not keep."""
+        return self._cache.slice(*self._read(p, v))
 
     def local_set(self, p, v=1):
         """The set for p^v: a read-only (L, n) int64 array, rows distinct and sorted."""
-        got = self._cache.get((p, v))
-        if got is not None:
-            return got
-        self._check_support(p, v)
-        return self._store([(p, v)], [self.rule(p, v)])[0]
+        try:
+            return self._cache[p, v]
+        except KeyError:
+            self._read(p, v)
+            return self._cache[p, v]
 
     def prefill(self, primes):
-        """Cache the sets at v = 1 of the primes not cached yet, from one call
-        of the bulk rule and one `_store` pass; without a bulk rule, do nothing."""
+        """Store the sets at v = 1 of the primes not stored yet, from one
+        call of the bulk rule, as one batch; without a bulk rule, do
+        nothing."""
         if self.bulk_rule is None:
             return
-        todo = [p for p in np.asarray(primes, dtype=np.int64).tolist() if (p, 1) not in self._cache]
-        for p in todo:
-            self._check_support(p, 1)
-        if todo:
-            self._store([(p, 1) for p in todo], self.bulk_rule(np.array(todo, dtype=np.int64)))
+        primes = np.asarray(primes, dtype=np.int64)
+        todo = primes[self._cache.locate(primes)[1] < 0]
+        over = todo > self.support_limit
+        if over.any():
+            self._check_support(int(todo[over.argmax()]), 1)
+        if len(todo):
+            rows, sizes = self._store(todo, 1, self.bulk_rule(todo))
+            self._cache.add_batch(todo, 1, rows, sizes)
 
     def local_size(self, p, v=1):
-        if self.size_rule is None or (p, v) in self._cache:
-            return len(self.local_set(p, v))
+        got = self._cache.find(p, v)
+        if got is not None:
+            return got[1]
+        if self.size_rule is None:
+            return self._read(p, v)[1]
         self._check_support(p, v)
         return self.size_rule(p, v)
+
+    def _sizes(self, ps, vs=1):
+        """`local_size` at int64 arrays of p and v, from one read of the
+        store; the sets it lacks are asked for one by one, in order."""
+        vs = np.broadcast_to(vs, ps.shape)
+        sizes = self._cache.locate(ps**vs)[1]
+        for i in np.flatnonzero(sizes < 0).tolist():
+            size = self.local_size(int(ps[i]), int(vs[i]))
+            if size >= INT64_LIMIT:
+                sizes = sizes.astype(object)
+            sizes[i] = size
+        return sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,28 +352,32 @@ _IDLE = np.array([1, 0, 1, 1, 0])[:, None, None]
 
 
 def _read_sets(system, moduli):
-    """The (p, v) parts of the (q, parts, ...) items, flattened, their local
-    sets and the sizes of those; an item without parts has the part _UNIT.
-    Unless every set is cached and every q below 2^63, one loop over the
-    items refuses a q >= 2^63, then reads its parts in ascending p up to
-    its first empty set, which the later parts share, so that a refusal
-    names what a per-modulus loop meets first."""
+    """For the (p, v) parts of the (q, parts, ...) items, flattened, where
+    an item without parts has the part _UNIT: the size of each part's
+    local set, the start of its rows in the store (the unit reads the zero
+    row at 0) and its p^v, taken as 1 for an empty set. Many parts, all
+    stored, of moduli below 2^63 are read in one lookup. Otherwise one loop
+    over the items refuses a q >= 2^63, then reads its parts in ascending p
+    up to its first empty set, and the later parts count as empty, so that
+    a refusal names what a per-modulus loop meets first."""
     keys = [key for item in moduli for key in item[1] or _UNIT]
-    sets = list(map(system._cache.get, keys))
-    try:
-        if max((item[0] for item in moduli), default=0) < INT64_LIMIT:
-            return keys, sets, list(map(len, sets))
-    except TypeError:  # a miss, None
-        pass
-    zero, sets = np.zeros((1, system.dimension), dtype=np.int64), []
+    if len(keys) > _FEW_PARTS and max(item[0] for item in moduli) < INT64_LIMIT:
+        pvs = np.array([p**v for p, v in keys], dtype=np.int64)
+        starts, sizes = system._cache.locate(pvs)
+        sizes[pvs == 1] = 1
+        if (sizes >= 0).all():
+            return sizes, starts, np.where(sizes > 0, pvs, 1)
+    read = []
     for item in moduli:
         require_int64(item[0], "modulus q")
-        got = zero
+        at = (0, 1)
         for key in item[1] or _UNIT:
-            if len(got) and key != _UNIT[0]:
-                got = system.local_set(*key)
-            sets.append(got)
-    return keys, sets, list(map(len, sets))
+            if at[1] and key != _UNIT[0]:
+                at = system._read(*key)
+            read.append(at)
+    starts, sizes = np.array(read, dtype=np.int64).reshape(-1, 2).T
+    pvs = np.array([p**v for p, v in keys], dtype=np.int64)
+    return sizes, starts, np.where(sizes > 0, pvs, 1)
 
 
 def _join_order(owner, pv):
@@ -240,17 +408,13 @@ def _crt_fold(system, moduli):
     with p^v < m, so the digit is solved modulo p^v: |y - x| < m and the
     inverse is below p^v, so every product stays below m * p^v <= q <
     2^63."""
-    keys, sets, sizes = _read_sets(system, moduli)
+    sizes, starts, pvs = _read_sets(system, moduli)
+    locs, starts = system._cache.gather(starts, sizes)
     counts = [len(item[1]) or 1 for item in moduli]
     steps, count = max(counts, default=1), len(moduli)
-    locs = np.concatenate(sets or [np.zeros((0, system.dimension), dtype=np.int64)])
     if steps == 1:
         return locs
-    # per part, in the order read: size, offset of its rows and p^v, which
-    # is taken as 1 for an empty set (a part never read may be past int64)
-    fields = np.array(
-        (sizes, list(itertools.accumulate(sizes, initial=0))[:-1], [p**v if n else 1 for (p, v), n in zip(keys, sizes)])
-    )
+    fields = np.array((sizes, starts, pvs))
     # slot (i, j) of the table holds the j-th set that modulus i joins; the
     # slots in use, row by row, take the parts in the join order
     used = np.arange(steps) < np.array(counts)[:, None]
@@ -340,7 +504,7 @@ def _scan_hyperplane_max(system, p, v):
     n = system.dimension
     if n == 1 and v == 1:
         return 1 if system.local_size(p, 1) > 0 else 0
-    arr = system.local_set(p, v)
+    arr = system._rows(p, v)
     if len(arr) <= 1:
         # a single point lies on a hyperplane and no hyperplane holds more
         return len(arr)
@@ -396,7 +560,7 @@ def local_profile(system, x):
         return got
     all_primes = prime_array(x)
     system.prefill(all_primes)
-    rho = np.array([system.local_size(p, 1) for p in all_primes.tolist()], dtype=np.int64)
+    rho = system._sizes(all_primes)
     primes, rho = all_primes[rho > 0], rho[rho > 0]
     lam = [hyperplane_max_local(system, p, 1) if system.dimension > 1 else 1 for p in primes.tolist()]
     profile = (primes, rho, np.array(lam, dtype=np.int64))
@@ -415,14 +579,23 @@ def iter_supported(system, x, k=None):
     return _iter_supported(system, x, k)
 
 
+# the q per block of `_iter_supported`'s support mask, and the span of
+# `spf` compared per block to find the primes
+_Q_BLOCK = 1 << 12
+_SPF_BLOCK = 1 << 16
+
+
 def _iter_supported(system, x, k):
     if x >= 1 and k is None:
         yield 1, (), 1
     if x < 2:
         return
     spf = spf_table(x)
-    # the primes are the q with spf[q] = q
-    primes = np.flatnonzero(spf[2:] == np.arange(2, x + 1)) + 2
+    # the primes are the q with spf[q] = q, compared block by block in int32
+    ends = [*range(2, x + 1, _SPF_BLOCK), x + 1]
+    primes = np.concatenate(
+        [np.flatnonzero(spf[a:b] == np.arange(a, b, dtype=spf.dtype)) + a for a, b in zip(ends, ends[1:])]
+    )
     system.prefill(primes)
     # every p^v <= x, and the smallest q with k distinct prime factors that
     # p^v divides exactly: p^v times the k - 1 smallest other primes (p^v
@@ -431,31 +604,43 @@ def _iter_supported(system, x, k):
     higher = [(p, v) for p in small for v in range(2, x.bit_length()) if p**v <= x]
     ps = np.concatenate([primes, np.array([p for p, _ in higher], dtype=np.int64)])
     vs = np.concatenate([np.ones_like(primes), np.array([v for _, v in higher], dtype=np.int64)])
-    pvs = least = ps**vs
+    least = ps**vs
     if k is not None and k > 1:
         head = primes[:k].tolist()
         if len(head) < k or math.prod(head) > x:
             return
-        least = pvs * np.where(np.isin(ps, head[:-1]), math.prod(head) // ps, math.prod(head[:-1]))
-    # read the local sets in that order, as a loop over ascending q would, so
-    # that a refusal names the prime power such a loop meets first; clear the
-    # q that an empty p^v divides exactly, so that only the supported q are
-    # factored
+        least *= np.where(np.isin(ps, head[:-1]), math.prod(head) // ps, math.prod(head[:-1]))
+    # read the local sets of the p^v with least <= x in that order, as a
+    # loop over ascending q would, so that a refusal names the prime power
+    # such a loop meets first; clear the q that an empty p^v divides
+    # exactly, so that only the supported q are factored
+    order = np.lexsort((ps, least))
+    order = order[: np.searchsorted(least[order], x, side="right")]
+    ps, vs = ps[order], vs[order]
+    empty = system._sizes(ps, vs) == 0
     supported = np.ones(x + 1, dtype=bool)
     supported[:2] = False
-    order = np.lexsort((ps, least))
-    for p, v, pv, q in zip(*(a[order].tolist() for a in (ps, vs, pvs, least))):
-        if q > x:
-            break
-        if system.local_size(p, v) == 0:
-            # clear the multiples of p^v, then restore those of p^(v+1)
-            keep = supported[pv * p :: pv * p].copy()
-            supported[pv::pv] = False
-            supported[pv * p :: pv * p] = keep
-    for q in np.flatnonzero(supported).tolist():
-        parts = tuple(spf_factor(q, spf))
-        if k is None or len(parts) == k:
-            yield q, parts, math.prod(system.local_size(p, v) for p, v in parts)
+    for p, pv in zip(ps[empty].tolist(), (ps**vs)[empty].tolist()):
+        # clear the multiples of p^v, then restore those of p^(v+1)
+        keep = supported[pv * p :: pv * p].copy()
+        supported[pv::pv] = False
+        supported[pv * p :: pv * p] = keep
+    # each block of supported q takes its rho from one read of the sizes
+    for a in range(2, x + 1, _Q_BLOCK):
+        qs = (np.flatnonzero(supported[a : a + _Q_BLOCK]) + a).tolist()
+        factors = [tuple(spf_factor(q, spf)) for q in qs]
+        items = [(q, parts) for q, parts in zip(qs, factors) if k is None or len(parts) == k]
+        if not items:
+            continue
+        flat = np.array([part for _, parts in items for part in parts], dtype=np.int64)
+        counts = np.array([len(parts) for _, parts in items])
+        sizes = system._sizes(flat[:, 0], flat[:, 1])
+        # rho <= q^n, so int64 holds it unless x^n reaches 2^63
+        if x**system.dimension >= INT64_LIMIT:
+            sizes = sizes.astype(object)
+        rho = np.multiply.reduceat(sizes, counts.cumsum() - counts)
+        for (q, parts), r in zip(items, rho.tolist()):
+            yield q, parts, r
 
 
 def supported_moduli(system, x, k=None):

@@ -29,8 +29,8 @@ from .generators import (
     graph_system,
     image_system,
     initial_segment_system,
+    prime_root_arrays,
     pseudo_system,
-    roots_mod_primes,
     roots_system,
     veronese_system,
 )
@@ -375,6 +375,9 @@ def _root_count_chunk(pp, P):
     rows = np.empty((_COUNT_BLOCK // B, m))
     rows[-1] = 1.5  # F(0) = 1
     t = np.empty(m)
+    # the per-row coefficients, as 0-d arrays: a ufunc takes those faster
+    # than Python scalars, with the same float64 values
+    scale, shift = np.empty(()), np.empty(())
     found = []
     for n0 in range(1, last - B + 1, _COUNT_BLOCK):
         # a column stays while its prime p leaves a whole group: n0 + B - 1 <= p - 1
@@ -385,8 +388,9 @@ def _root_count_chunk(pp, P):
         block = rows[:, j:]
         for row, n in zip(block, range(n0, n0 + _COUNT_BLOCK, B)):
             a, d = (n * (n + 1), sign * (n + 1) + 1) if B == 2 else (sign * n, 1)
-            np.multiply(G, a, tj)
-            np.add(tj, d + 0.5 - 0.5 * a, tj)
+            scale[()], shift[()] = a, d + 0.5 - 0.5 * a
+            np.multiply(G, scale, tj)
+            np.add(tj, shift, tj)
             np.multiply(tj, invj, row)
             np.floor(row, row)
             np.multiply(row, Pj, row)
@@ -442,7 +446,7 @@ def poisson_table(spec, x, profile=None):
         poisson_ref = profile is None
     elif isinstance(spec, IntPolynomial):
         primes = prime_array(x)
-        counts = np.array([len(r) for r in roots_mod_primes(spec, primes)], dtype=np.int64)
+        counts = prime_root_arrays(spec, primes)[0]
         poisson_ref = False
     else:
         raise TypeError(f"expected a pseudo-polynomial name or IntPolynomial, got {type(spec).__name__}")
@@ -522,7 +526,7 @@ def prime_weyl_averages(system, x, h_set):
     if pi_x == 0:
         raise ValueError(f"no primes up to {x}")
     system.prefill(primes)
-    supported = [(p, arr) for p in primes if len(arr := system.local_set(p)[:, 0])]
+    supported = [(p, arr) for p in primes if len(arr := system._rows(p)[:, 0])]
     if not supported:
         raise ValueError(f"no supported primes up to {x}")
     out = {}

@@ -893,6 +893,20 @@ def test_sampled_box_search_at_the_int64_edge(monkeypatch):
             assert got.bounds == (lower, 1.0) and got.witness == {"best_box": box}
 
 
+def test_box_disc_bounds_refuses_past_int64_before_the_search(monkeypatch):
+    # at q = 2^62 + 135, n*H*(q-1) >= 2^63 for every H >= 1, so the
+    # spectrum is refused before any trial of the sampled search
+    def no_search(*args):
+        raise AssertionError("the sampled search ran")
+
+    monkeypatch.setattr(analysis, "_arcs", no_search)
+    q = 2**62 + 135
+    ps = torus([(0, q - 1), (q - 1, 0), (2**61, q - 1)], q, 2)
+    for H in (None, 1, 3):
+        with pytest.raises(ValueError, match=r"^n\*H\*\(q-1\) = \d+ is at least 2\^63"):
+            box_discrepancy(ps, mode="bounds", H=H)
+
+
 def test_box_disc_carries_the_spectrum_at_a_given_H():
     two = torus([(1, 2), (2, 4), (3, 1), (4, 3)], 5, n=2)
     one = torus([0, 1, 3, 3], 7)

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import itemgetter
 
@@ -708,3 +710,129 @@ def test_local_profile_cached_per_x():
     assert got[0].tolist() == [p for p in prime_array(1000).tolist() if p == 2 or p % 4 == 1]
     # a smaller x is its own entry
     assert local_profile(s, 100)[0].tolist() == [p for p in got[0].tolist() if p <= 100]
+
+
+# The store before the flat one: one dict entry and one read-only array per
+# set, made when the set is stored; kept as the reference for the flat
+# store of `LocalSystem`.
+
+class _DictStoreSystem:
+    def __init__(self, dimension, rule, bulk_rule=None):
+        self.dimension, self.rule, self.bulk_rule = dimension, rule, bulk_rule
+        self._cache = {}
+
+    def _array(self, raw):
+        arr = np.array(sorted(set(raw)), dtype=np.int64).reshape(-1, self.dimension)
+        arr.setflags(write=False)
+        return arr
+
+    def local_set(self, p, v=1):
+        if (p, v) not in self._cache:
+            self._cache[(p, v)] = self._array(self.rule(p, v))
+        return self._cache[(p, v)]
+
+    def prefill(self, primes):
+        todo = [p for p in np.asarray(primes).tolist() if (p, 1) not in self._cache]
+        for p, raw in zip(todo, self.bulk_rule(np.array(todo, dtype=np.int64)), strict=True):
+            self._cache[(p, 1)] = self._array(raw)
+
+
+def _drawn_set(n, seed, p, v):
+    """The set at p^v of a random system: empty, a few rows, or about a
+    hundred, so that both of the store's gathers run."""
+    rng = random.Random(f"{seed} {p} {v}")
+    size = rng.choice([0, 0, 1, 2, 3, 5, 100])
+    return [tuple(rng.randrange(p**v) for _ in range(n)) for _ in range(size)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_store_matches_a_dict_of_arrays(n):
+    views = {}
+
+    def check(flat, ref):
+        assert set(flat._cache) == set(ref._cache)
+        assert len(flat._cache) == len(ref._cache)
+        assert (flat._cache == {}) == (ref._cache == {})
+        assert all(key in flat._cache for key in ref._cache)
+        assert (2, 40) not in flat._cache and (7919, 1) not in flat._cache
+        for key, want in ref._cache.items():
+            got = flat.local_set(*key)
+            assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want), key
+            assert not got.flags.writeable
+            # a view, once handed out, is the one every later call returns
+            assert views.setdefault(key, got) is got
+
+    for seed in range(6):
+        rule = lambda p, v: _drawn_set(n, seed, p, v)
+
+        def arrays(primes):
+            # the (sizes, rows) form, rows in drawn order with duplicates
+            sets = [_drawn_set(n, seed, p, 1) for p in primes.tolist()]
+            return np.array([len(t) for t in sets]), np.array([r for t in sets for r in t]).reshape(-1, n)
+
+        bulk = arrays if seed % 2 else (lambda primes: [rule(p, 1) for p in primes.tolist()])
+        flat = LocalSystem(n, rule, bulk_rule=bulk)
+        ref = _DictStoreSystem(n, rule, bulk_rule=lambda primes: [rule(p, 1) for p in primes.tolist()])
+        views.clear()
+        check(flat, ref)
+        rng = random.Random(seed)
+        for limit in (150, 400, 900):
+            # a prime named twice is stored once
+            primes = np.concatenate([prime_array(limit), prime_array(limit)[-3:]])
+            for s in (flat, ref):
+                s.prefill(primes)
+            check(flat, ref)
+            # misses between prefills: v >= 2, and primes past this prefill
+            keys = [(p, v) for p in prime_array(60).tolist() for v in (2, 3) if p**v < 3000]
+            keys += [(p, 1) for p in rng.sample(prime_array(1500).tolist(), 20)]
+            for key in rng.sample(keys, 15):
+                for s in (flat, ref):
+                    s.local_set(*key)
+            check(flat, ref)
+            # q = 1 reads the zero row; a chunk without it, read after the
+            # first, finds every set in one segment; one prime at a time
+            # copies a large set whole
+            chunks = [[(q, tuple(trial_factorize(q))) for q in [1, *rng.sample(range(2, 3000), 120)]]]
+            chunks.append([(q, tuple(trial_factorize(q))) for q in rng.sample(range(2, 3000), 120)])
+            chunks += [[(p, ((p, 1),))] for p in prime_array(1000)[-40:].tolist()]
+            for chunk in chunks:
+                got, want = crt_sets._crt_fold(flat, chunk), _per_modulus_fold(ref, chunk)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (seed, limit)
+            check(flat, ref)
+        # the sets of one prefill lie in one segment
+        flat = LocalSystem(n, rule, bulk_rule=bulk)
+        flat.prefill(prime_array(3000))
+        chunk = [(q, tuple(trial_factorize(q))) for q in range(2, 1000)]
+        chunk = [item for item in chunk if all(v == 1 for _, v in item[1])]
+        assert np.array_equal(crt_sets._crt_fold(flat, chunk), _per_modulus_fold(ref, chunk))
+
+
+def test_prefill_holds_the_sets_in_flat_arrays():
+    # a one-root set held its own array, about 250 bytes; the flat store
+    # keeps about 33 bytes of index per prime and 8 per root
+    primes = prime_array(10**5)
+    s = roots_system(IntPolynomial((1, 0, 1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        s.prefill(primes)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 600_000
+    assert len(s._cache) == len(primes)
+
+
+def test_iter_supported_is_the_same_in_any_blocks(monkeypatch):
+    # the primes and the supported q are read block by block; blocks of 7
+    # and 5 put block edges everywhere
+    rng = random.Random(2121)
+    for trial in range(8):
+        n, x = rng.choice([1, 2]), rng.randrange(2, 600)
+        sets = random_local_sets(rng, n, x)
+        want = {k: list(iter_supported(sys_from_dict(n, sets), x, k)) for k in (None, 1, 2)}
+        monkeypatch.setattr(crt_sets, "_SPF_BLOCK", 7)
+        monkeypatch.setattr(crt_sets, "_Q_BLOCK", 5)
+        assert {k: list(iter_supported(sys_from_dict(n, sets), x, k)) for k in (None, 1, 2)} == want, (n, x)
+        monkeypatch.undo()

@@ -20,6 +20,7 @@ from crt_equidist.generators import (
     initial_segment_system,
     poly_roots_mod_prime_power,
     pow_mod_array,
+    prime_root_arrays,
     pseudo_poly_roots,
     pseudo_system,
     restrict_primes,
@@ -602,6 +603,18 @@ def _next_prime(n):
     while not is_prime_slow(n):
         n += 1
     return n
+
+
+def test_prime_root_arrays_are_int64_on_every_kind_of_prime():
+    # counts and roots stay int64 arrays where wide primes run on Python
+    # ints, and for no primes at all
+    f = IntPolynomial((-2, 0, 3, 0, 5))
+    primes = [2**61 - 1, *prime_array(3000).tolist(), 2147483659]
+    sizes, roots = prime_root_arrays(f, primes)
+    assert sizes.dtype == roots.dtype == np.int64 and sizes.shape == (len(primes),)
+    tuples = roots_mod_primes(f, primes)
+    assert sizes.tolist() == list(map(len, tuples)) and roots.tolist() == [a for t in tuples for a in t]
+    assert all(a.dtype == np.int64 and a.shape == (0,) for a in prime_root_arrays(f, []))
 
 
 def test_roots_mod_primes_int64_limit():
