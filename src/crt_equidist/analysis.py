@@ -626,12 +626,15 @@ class AggregateStats:
 
 
 def _region_fractions(region, n):
+    """One (lo, hi) pair of Fractions per axis: a region for n >= 2 lists n
+    pairs, and a 1-D region is the bare pair (lo, hi)."""
     if region is None:
         return None
-    if n == 1:
-        lo, hi = region
-        return ((Fraction(lo), Fraction(hi)),)
-    return tuple((Fraction(lo), Fraction(hi)) for lo, hi in region)
+    pairs = (region,) if n == 1 else tuple(region)
+    if len(pairs) != n or any(np.shape(pair) != (2,) for pair in pairs):
+        want = "the bare pair (lo, hi)" if n == 1 else f"{n} (lo, hi) pairs, got {len(pairs)}"
+        raise ValueError(f"a region for n={n} is {want}: {region!r}")
+    return tuple((Fraction(lo), Fraction(hi)) for lo, hi in pairs)
 
 
 class NoSupportedModuliError(ValueError):
@@ -663,40 +666,19 @@ def aggregate_stats(
         raise ValueError(f"weighting must be 'uniform' or 'rho', got {weighting!r}")
     n = system.dimension
     reg = _region_fractions(region, n)
-    exact_1d = n == 1 and disc_mode in ("auto", "exact")
-    if not exact_1d and disc_mode != "exact":
-        h_val = H if isinstance(H, int) else _auto_H(system, x)
-
-    def handle(q, rho):
-        # no `parts` here: the benchmark's span test expects the 2-D sweep
-        # to reach `factor_tuples`, which factors q a second time
-        ps = fractional_points(residue_set(system, q))
-        pts = ps.array
-        if disc_mode == "exact":
-            disc = box_discrepancy(ps, mode="exact", budget=budget).value
-            method = "exact"
-        else:
-            disc = erdos_turan_bound(weyl_spectrum(ps, h_val))
-            method = "erdos_turan"
-        mass_count = None
-        if reg:
-            inside = np.ones(len(pts), dtype=bool)
-            for axis, (lo, hi) in enumerate(reg):
-                inside &= (pts[:, axis] >= math.ceil(lo * q)) & (pts[:, axis] <= math.floor(hi * q))
-            mass_count = int(inside.sum())
-        return q, rho, disc, mass_count
-
+    method = "exact" if disc_mode == "exact" or (n == 1 and disc_mode == "auto") else "erdos_turan"
     moduli = iter_supported(system, x, k)
-    if exact_1d:
-        chunks = [_exact_1d_columns(system, chunk, reg) for chunk in _point_chunks(moduli)]
-    else:
+    score = None
+    if method == "erdos_turan":
+        h_val = H if isinstance(H, int) else _auto_H(system, x)
         moduli = list(moduli)
-        if disc_mode != "exact" and moduli:
+        if moduli:
             # one check for the largest A_q refuses before any spectrum
             _require_spectrum_budget(max(rho for *_, rho in moduli), n, h_val, budget, h_given=isinstance(H, int))
-        rows = [handle(q, rho) for q, _, rho in moduli]
-        chunks = [tuple(map(np.array, zip(*rows)))] if rows else []
-
+        score = lambda ps: erdos_turan_bound(weyl_spectrum(ps, h_val))
+    elif n > 1:
+        score = lambda ps: box_discrepancy(ps, mode="exact", budget=budget).value
+    chunks = [_chunk_columns(system, chunk, reg, score) for chunk in _point_chunks(moduli)]
     if not chunks:
         raise NoSupportedModuliError(f"no supported moduli up to {x}" + (f" with k={k}" if k else ""))
     # one int64 or float64 column per field; rho, mass and the point total
@@ -719,13 +701,13 @@ def aggregate_stats(
         point_total=total,
         disc_average=disc_avg,
         region_mass=mass,
-        method="exact" if exact_1d or disc_mode == "exact" else "erdos_turan",
+        method=method,
         per_q=tuple(zip(qs.tolist(), rho.tolist(), disc.tolist())) if include_per_q else None,
     )
 
 
-# points per chunk of the 1-D exact path, which bounds the arrays that one
-# CRT fold and one arc scan hold
+# points per chunk of supported moduli, which bounds the arrays that one
+# chunk's CRT fold, arc scan and region test hold
 _POINT_BUDGET = 1 << 11
 
 
@@ -744,32 +726,42 @@ def _point_chunks(moduli):
         yield chunk
 
 
-def _exact_1d_columns(system, chunk, reg):
+def _chunk_columns(system, chunk, reg, score):
     """The q, rho, disc and mass_count columns (int64, int64, float64, and
-    int64 or None without a region) of a chunk of supported moduli of a
-    1-dimensional system, from one CRT fold and one arc scan."""
+    int64 or None without a region) of a chunk of supported moduli.
+
+    With `score` None the system is 1-dimensional and the chunk takes one
+    CRT fold and one exact arc scan. Otherwise each A_q is built on its own
+    and `score` maps its torus points to the discrepancy value; its points
+    are kept only for the region count."""
     qs = np.array([q for q, _, _ in chunk], dtype=np.int64)
     rho = np.array([rho for _, _, rho in chunk], dtype=np.int64)
-    nums = numerators_1d(system, chunk)
-    num, _, _ = _closed_arc_scan(nums, np.ones(len(nums), dtype=np.int64), qs, rho)
-    # the scan refused N*q >= 2^63; int / int is correctly rounded
-    disc = np.array([a / b for a, b in zip(num.tolist(), (rho * qs).tolist())], dtype=np.float64)
+    if score is None:
+        nums = numerators_1d(system, chunk)
+        num, _, _ = _closed_arc_scan(nums, np.ones(len(nums), dtype=np.int64), qs, rho)
+        # the scan refused N*q >= 2^63; int / int is correctly rounded
+        disc = [a / b for a, b in zip(num.tolist(), (rho * qs).tolist())]
+        pts = nums[:, None]
+    else:
+        disc, kept = [], []
+        for q, _, _ in chunk:
+            # no `parts` here: the benchmark's span test expects the 2-D
+            # sweep to reach `factor_tuples`, which factors q a second time
+            ps = fractional_points(residue_set(system, q))
+            disc.append(score(ps))
+            if reg:
+                kept.append(ps.array)
+        pts = np.concatenate(kept) if reg else None
     mass = None
     if reg:
-        ((lo, hi),) = reg
-        # clamped to [-1, q], where they count the same points and fit int64
-        lo_q = [min(max(math.ceil(lo * q), -1), q) for q in qs.tolist()]
-        hi_q = [min(max(math.floor(hi * q), -1), q) for q in qs.tolist()]
-        inside = (nums >= np.repeat(lo_q, rho)) & (nums <= np.repeat(hi_q, rho))
+        inside = np.ones(len(pts), dtype=bool)
+        for axis, (lo, hi) in enumerate(reg):
+            # clamped to [-1, q], where they count the same points and fit int64
+            lo_q = [min(max(math.ceil(lo * q), -1), q) for q in qs.tolist()]
+            hi_q = [min(max(math.floor(hi * q), -1), q) for q in qs.tolist()]
+            inside &= (pts[:, axis] >= np.repeat(lo_q, rho)) & (pts[:, axis] <= np.repeat(hi_q, rho))
         mass = np.add.reduceat(inside, np.cumsum(rho) - rho, dtype=np.int64)
-    return qs, rho, disc, mass
-
-
-def _exact_1d_rows(system, chunk, reg):
-    """`_exact_1d_columns` as (q, rho, disc, mass_count, "exact") rows."""
-    qs, rho, disc, mass = _exact_1d_columns(system, chunk, reg)
-    masses = [None] * len(qs) if mass is None else mass.tolist()
-    return zip(qs.tolist(), rho.tolist(), disc.tolist(), masses, ["exact"] * len(qs))
+    return qs, rho, np.array(disc, dtype=np.float64), mass
 
 
 def _auto_H(system, x):

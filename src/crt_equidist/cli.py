@@ -170,6 +170,8 @@ def _write_report(writer, report):
 def _cmd_sweep(cfg, writer):
     if cfg.theorem in (3, 4) and cfg.k is None:
         raise UsageError(f"theorem {cfg.theorem} sweeps need --k")
+    if cfg.ladder[0] < 3:
+        raise UsageError(f"sweep ladder points must be >= 3, got {cfg.ladder[0]}")
     _write_report(writer, run_theorem_sweep(cfg))
 
 

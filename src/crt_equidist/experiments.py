@@ -248,6 +248,9 @@ def run_theorem_sweep(config):
     sys_obj = build_system(config.system)
     if config.theorem in (3, 4) and config.k is None:
         raise ValueError(f"theorem {config.theorem} sweeps need k")
+    # the theorem bounds take log log x; the ladder is ascending
+    if config.ladder[0] < 3:
+        raise ValueError(f"sweep ladder points must be >= 3, got {config.ladder[0]}")
     ratios = [prime_support_stat(sys_obj, x)[1] for x in config.ladder]
     if config.alpha is not None:
         alpha, alpha_source = config.alpha, "config"

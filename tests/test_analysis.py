@@ -1206,6 +1206,21 @@ def test_aggregate_validation():
             aggregate_stats(s, 10, k=k)
 
 
+def test_region_of_the_wrong_shape_is_refused():
+    # one pair for a 2-D system once measured axis 0 alone, three pairs
+    # raised a bare IndexError, and a nested pair for a 1-D system failed
+    # to unpack
+    g = build_system("graph:1,0,1:0,0,1")
+    half = (Fraction(0), Fraction(1, 2))
+    assert aggregate_stats(g, 60, region=(half, half)).region_mass == pytest.approx(0.1333, abs=1e-4)
+    for region in ((half,), (half, half, half)):
+        with pytest.raises(ValueError, match=rf"^a region for n=2 is 2 \(lo, hi\) pairs, got {len(region)}:"):
+            aggregate_stats(g, 60, region=region)
+    for region in ((half,), Fraction(1, 2)):
+        with pytest.raises(ValueError, match=r"^a region for n=1 is the bare pair \(lo, hi\):"):
+            aggregate_stats(roots_system(X2P1), 60, region=region)
+
+
 def test_sweep_spectrum_budget_is_refused_before_any_spectrum(monkeypatch):
     # full:2 at x = 30 takes the automatic H = 64, so A_q of q^2 points
     # needs q^2 * 129^2 terms: q <= 7 fit a budget of 10^6, A_30 (900 points)
@@ -1329,13 +1344,68 @@ def test_batched_1d_path_exact_for_large_moduli():
     for sets, ahead in ((rounding, 1), (wrapping, 86)):
         s = sys_from_dict(1, sets)
         chunk = [(3, ((3, 1),), 1)] * ahead + [(3 * P, parts, len(sets[P]))]
-        rows = list(analysis._exact_1d_rows(s, chunk, ((Fraction(0), Fraction(1, 2)),)))
+        columns = analysis._chunk_columns(s, chunk, ((Fraction(0), Fraction(1, 2)),), None)
+        rows = list(zip(*(c.tolist() for c in columns)))
         for (q, parts, rho), row in zip(chunk[-2:], rows[-2:]):
             pts = residue_set(s, q, parts).array[:, 0]
             num, _, _ = _single_arc_scan(pts, np.ones(rho, dtype=np.int64), q)
-            assert row == (q, rho, num / (rho * q), int((2 * pts <= q).sum()), "exact")
+            assert row == (q, rho, num / (rho * q), int((2 * pts <= q).sum()))
         if sets is rounding:
             assert (np.array([num]) / np.array([2 * 3 * P]))[0] != num / (2 * 3 * P)
+
+
+def _per_modulus_rows(system, x, k, axes, disc_mode, H):
+    """The per-modulus loop that the chunked path replaced for Erdos-Turan
+    and 2-D exact scores: one `residue_set` per supported q, scored by the
+    exact box scan or by the Erdos-Turan bound at H, and the region counted
+    axis by axis from unclamped bounds; rows are (q, rho, disc, mass_count)."""
+    rows = []
+    for q, _, rho in iter_supported(system, x, k):
+        ps = fractional_points(residue_set(system, q))
+        if disc_mode == "exact":
+            disc = box_discrepancy(ps, mode="exact").value
+        else:
+            disc = erdos_turan_bound(weyl_spectrum(ps, H))
+        mass_count = None
+        if axes:
+            inside = np.ones(len(ps.array), dtype=bool)
+            for axis, (lo, hi) in enumerate(axes):
+                inside &= (ps.array[:, axis] >= math.ceil(lo * q)) & (ps.array[:, axis] <= math.floor(hi * q))
+            mass_count = int(inside.sum())
+        rows.append((q, rho, disc, mass_count))
+    return rows
+
+
+def test_chunked_scores_equal_the_per_modulus_loop(monkeypatch):
+    rng = random.Random(2207)
+    plane = [sys_from_dict(2, random_local_sets(rng, 2, 40)) for _ in range(3)]
+    # empty sets at 2 and 3 beside nonempty ones at 4 and 9
+    plane.append(sys_from_dict(2, {2: (), 4: {(1, 2), (3, 0)}, 3: (), 9: {(2, 5), (4, 4), (8, 1)},
+                                   5: {(0, 0), (4, 1)}, 7: {(3, 6)}}))
+    plane_region = ((Fraction(-1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(7, 5)))
+    line_region = (Fraction(-1, 2), Fraction(5, 7))
+    cases = [(s, mode, plane_region) for s in plane for mode in ("auto", "exact", "bounds")]
+    cases.append((roots_system(X2P1), "bounds", line_region))
+    for s, disc_mode, region in cases:
+        for x in (0, 2, 40):
+            for k in (None, 1, 2):
+                for reg in (None, region):
+                    axes = reg if s.dimension == 2 or reg is None else (reg,)
+                    rows = _per_modulus_rows(s, x, k, axes, disc_mode, 2)
+                    for budget in (16, 2048):
+                        monkeypatch.setattr(analysis, "_POINT_BUDGET", budget)
+                        for weighting in ("uniform", "rho"):
+                            args = dict(weighting=weighting, k=k, region=reg, disc_mode=disc_mode, H=2)
+                            if not rows:
+                                with pytest.raises(NoSupportedModuliError):
+                                    aggregate_stats(s, x, **args)
+                                continue
+                            st = aggregate_stats(s, x, include_per_q=True, **args)
+                            where = (disc_mode, x, k, budget, weighting)
+                            assert st.per_q == tuple(r[:3] for r in rows), where
+                            assert (st.disc_average, st.region_mass) == _averages(rows, weighting, reg), where
+                            assert st.point_total == sum(r[1] for r in rows)
+                            assert st.modulus_count == len(rows)
 
 
 def test_batched_1d_path_scans_once_per_chunk(monkeypatch):

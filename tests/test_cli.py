@@ -234,6 +234,17 @@ def test_sweep_et_spectrum_over_budget_is_refused(run_cli, tmp_path, capsys):
     assert report["rows"][0][report["columns"].index("method")] == "erdos_turan"
 
 
+def test_sweep_ladder_below_3_is_a_usage_error(run_cli, tmp_path, capsys):
+    for i, ladder in enumerate(("2", "2,5")):
+        out = tmp_path / f"low{i}"
+        run_cli(["sweep", "--poly", "1,0,1", "--ladder", ladder, "--quiet", "--out", out], expect=2)
+        assert "sweep ladder points must be >= 3, got 2" in capsys.readouterr().err
+        assert listdir(out) == ["config.txt"]
+    # the counterexample contrast takes no theorem bound and keeps x = 1, 2
+    for ladder in ("1", "2"):
+        run_cli(["counterexample", "--ladder", ladder, "--quiet", "--out", tmp_path / f"ce{ladder}"])
+
+
 def test_table_refuses_root_count_limit(run_cli, tmp_path, capsys):
     # refused before the sieve, so no report and no long pass
     out = tmp_path / "big"

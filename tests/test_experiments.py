@@ -322,6 +322,17 @@ def test_sweep_k_required_and_flagging():
     assert row["flagged"] is True and row["moduli"] == 0
 
 
+def test_sweep_refuses_ladder_points_below_3(monkeypatch):
+    # the theorem bounds take log log x, so x < 3 is refused before any
+    # aggregate, not after the first one
+    calls = []
+    monkeypatch.setattr(experiments, "aggregate_stats", lambda *a, **kw: calls.append(a))
+    for ladder in ((2,), (2, 5), (1, 3)):
+        with pytest.raises(ValueError, match=rf"^sweep ladder points must be >= 3, got {ladder[0]}$"):
+            run_theorem_sweep(ExperimentConfig(system="poly:1,0,1", ladder=ladder))
+    assert calls == []
+
+
 def test_report_serialization():
     report = run_theorem_sweep(ExperimentConfig(system="poly:0,1", ladder=(30,)))
     import json
