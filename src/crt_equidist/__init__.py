@@ -21,6 +21,7 @@ from .crt_sets import (
     hyperplane_max,
     local_profile,
     iter_supported,
+    supported_blocks,
     supported_moduli,
     fractional_points,
     prime_support_stat,

@@ -13,8 +13,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .crt_sets import (
-    ResidueSet, TorusPointSet, fractional_points, hyperplane_max, iter_supported, local_profile, numerators_1d,
-    point_count, residue_set
+    ModuliColumns, ResidueSet, TorusPointSet, fractional_points, hyperplane_max, local_profile, numerators_1d,
+    point_count, residue_set, supported_blocks
 )
 from .modarith import INT64_LIMIT, factor_tuples, require_int64
 
@@ -664,21 +664,24 @@ def aggregate_stats(
     over `budget`, the sweep is refused before any spectrum is built."""
     if weighting not in ("uniform", "rho"):
         raise ValueError(f"weighting must be 'uniform' or 'rho', got {weighting!r}")
+    if disc_mode not in ("auto", "exact", "bounds"):
+        raise ValueError(f"disc_mode must be auto, exact or bounds, got {disc_mode!r}")
     n = system.dimension
     reg = _region_fractions(region, n)
     method = "exact" if disc_mode == "exact" or (n == 1 and disc_mode == "auto") else "erdos_turan"
-    moduli = iter_supported(system, x, k)
+    blocks = supported_blocks(system, x, k)
     score = None
     if method == "erdos_turan":
         h_val = H if isinstance(H, int) else _auto_H(system, x)
-        moduli = list(moduli)
-        if moduli:
+        blocks = list(blocks)
+        if blocks:
             # one check for the largest A_q refuses before any spectrum
-            _require_spectrum_budget(max(rho for *_, rho in moduli), n, h_val, budget, h_given=isinstance(H, int))
+            largest = max(int(block.rho.max()) for block in blocks)
+            _require_spectrum_budget(largest, n, h_val, budget, h_given=isinstance(H, int))
         score = lambda ps: erdos_turan_bound(weyl_spectrum(ps, h_val))
     elif n > 1:
         score = lambda ps: box_discrepancy(ps, mode="exact", budget=budget).value
-    chunks = [_chunk_columns(system, chunk, reg, score) for chunk in _point_chunks(moduli)]
+    chunks = [_chunk_columns(system, chunk, reg, score) for chunk in _point_chunks(blocks)]
     if not chunks:
         raise NoSupportedModuliError(f"no supported moduli up to {x}" + (f" with k={k}" if k else ""))
     # one int64 or float64 column per field; rho, mass and the point total
@@ -711,19 +714,28 @@ def aggregate_stats(
 _POINT_BUDGET = 1 << 11
 
 
-def _point_chunks(moduli):
-    """Group (q, parts, rho) items, in their order, into lists whose rho sum
-    to at most _POINT_BUDGET; an item over the budget gets a list of its
-    own."""
-    chunk, points = [], 0
-    for item in moduli:
-        if chunk and points + item[2] > _POINT_BUDGET:
-            yield chunk
-            chunk, points = [], 0
-        chunk.append(item)
-        points += item[2]
-    if chunk:
-        yield chunk
+def _point_chunks(blocks):
+    """Cut `ModuliColumns` blocks, in their order, into chunks of moduli
+    whose rho sum to at most _POINT_BUDGET; a modulus over the budget gets
+    a chunk of its own. Each chunk ends where the running sum of rho first
+    passes its start's sum plus the budget (one `searchsorted`); the moduli
+    after a block's last closed chunk open the next block's first."""
+    rest = None
+    for block in blocks:
+        if rest is not None:
+            block = ModuliColumns(*map(np.concatenate, zip(rest, block)))
+        ends = block.rho.cumsum()
+        start = 0
+        while start < len(ends):
+            base = ends[start] - block.rho[start]
+            stop = max(int(ends.searchsorted(base + _POINT_BUDGET, side="right")), start + 1)
+            if stop == len(ends):
+                break
+            yield block.cut(start, stop)
+            start = stop
+        rest = block.cut(start, len(ends))
+    if rest is not None:
+        yield rest
 
 
 def _chunk_columns(system, chunk, reg, score):
@@ -734,8 +746,9 @@ def _chunk_columns(system, chunk, reg, score):
     CRT fold and one exact arc scan. Otherwise each A_q is built on its own
     and `score` maps its torus points to the discrepancy value; its points
     are kept only for the region count."""
-    qs = np.array([q for q, _, _ in chunk], dtype=np.int64)
-    rho = np.array([rho for _, _, rho in chunk], dtype=np.int64)
+    # copies: the chunk's columns are views of a block that also holds the
+    # moduli of the next chunk, which the aggregate would otherwise keep
+    qs, rho = np.array(chunk.q), np.array(chunk.rho, dtype=np.int64)
     if score is None:
         nums = numerators_1d(system, chunk)
         num, _, _ = _closed_arc_scan(nums, np.ones(len(nums), dtype=np.int64), qs, rho)
@@ -744,7 +757,7 @@ def _chunk_columns(system, chunk, reg, score):
         pts = nums[:, None]
     else:
         disc, kept = [], []
-        for q, _, _ in chunk:
+        for q in qs.tolist():
             # no `parts` here: the benchmark's span test expects the 2-D
             # sweep to reach `factor_tuples`, which factors q a second time
             ps = fractional_points(residue_set(system, q))

@@ -7,6 +7,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,12 +231,23 @@ class LocalSystem:
         """(start, size) of the stored set at p^v, storing the rule's set
         first when there is none."""
         got = self._cache.find(p, v)
-        if got is None:
-            self._check_support(p, v)
-            require_int64(p**v, f"prime power {p}^{v}")
-            rows, _ = self._store(np.array([p], dtype=np.int64), v, [self.rule(p, v)])
-            got = self._cache.add(p, v, rows)
-        return got
+        return self._load(p, v) if got is None else got
+
+    def _load(self, p, v):
+        """Store the rule's set at p^v, which the store lacks; return its
+        (start, size)."""
+        self._check_support(p, v)
+        require_int64(p**v, f"prime power {p}^{v}")
+        rows, _ = self._store(np.array([p], dtype=np.int64), v, [self.rule(p, v)])
+        return self._cache.add(p, v, rows)
+
+    def _missing_size(self, p, v):
+        """The size of the set at p^v, which the store lacks: from
+        `size_rule`, or by storing the set."""
+        if self.size_rule is None:
+            return self._load(p, v)[1]
+        self._check_support(p, v)
+        return self.size_rule(p, v)
 
     def _rows(self, p, v=1):
         """The set for p^v as a view into the store, which `local_set`
@@ -267,23 +279,25 @@ class LocalSystem:
 
     def local_size(self, p, v=1):
         got = self._cache.find(p, v)
-        if got is not None:
-            return got[1]
-        if self.size_rule is None:
-            return self._read(p, v)[1]
-        self._check_support(p, v)
-        return self.size_rule(p, v)
+        return self._missing_size(p, v) if got is None else got[1]
 
     def _sizes(self, ps, vs=1):
         """`local_size` at int64 arrays of p and v, from one read of the
-        store; the sets it lacks are asked for one by one, in order."""
+        store; each p^v it lacks is asked for once, in the order the p^v
+        first occur, with no second lookup."""
         vs = np.broadcast_to(vs, ps.shape)
-        sizes = self._cache.locate(ps**vs)[1]
-        for i in np.flatnonzero(sizes < 0).tolist():
-            size = self.local_size(int(ps[i]), int(vs[i]))
-            if size >= INT64_LIMIT:
+        pvs = ps**vs
+        sizes = self._cache.locate(pvs)[1]
+        miss = np.flatnonzero(sizes < 0)
+        if len(miss):
+            got, new = {}, []
+            for p, v, pv in zip(ps[miss].tolist(), vs[miss].tolist(), pvs[miss].tolist()):
+                if pv not in got:
+                    got[pv] = self._missing_size(p, v)
+                new.append(got[pv])
+            if max(new) >= INT64_LIMIT:
                 sizes = sizes.astype(object)
-            sizes[i] = size
+            sizes[miss] = new
         return sizes
 
 
@@ -344,40 +358,78 @@ class TorusPointSet:
         return tuple(map(tuple, self.array.tolist()))
 
 
-# the one part of an item without parts: A_1 is the zero row mod 1^0 = 1
-_UNIT = ((1, 0),)
-# a table slot (size, offset, p^v, m, inverse) where a modulus joins no set:
-# its rows meet one local row mod 1 with inverse 0, which keeps them
-_IDLE = np.array([1, 0, 1, 1, 0])[:, None, None]
+class ModuliColumns(NamedTuple):
+    """Moduli as int64 columns: q, the part count of each q, the flat p and
+    v of the parts, q by q in ascending p, and rho = |A_q| (None where it
+    is not known). q = 1 has no parts. Blocks of supported moduli and the
+    chunks cut from them take this form."""
+
+    q: np.ndarray
+    count: np.ndarray
+    p: np.ndarray
+    v: np.ndarray
+    rho: np.ndarray = None
+
+    @classmethod
+    def of_items(cls, items):
+        """The columns of (q, parts, ...) items, every q below 2^63; rho is
+        not read."""
+        q = np.array([item[0] for item in items], dtype=np.int64)
+        count = np.array([len(item[1]) for item in items], dtype=np.int64)
+        p, v = np.array([part for item in items for part in item[1]], dtype=np.int64).reshape(-1, 2).T
+        return cls(q, count, p, v)
+
+    def cut(self, start, stop):
+        """The moduli start .. stop - 1, with their parts."""
+        first, last = self.count[:start].sum(), self.count[:stop].sum()
+        return ModuliColumns(
+            self.q[start:stop], self.count[start:stop], self.p[first:last], self.v[first:last], self.rho[start:stop]
+        )
+
+    def items(self):
+        """The (q, parts, rho) tuples, `parts` the (p, v) pairs of q."""
+        parts = list(zip(self.p.tolist(), self.v.tolist()))
+        ends = self.count.cumsum().tolist()
+        return [
+            (q, tuple(parts[end - c : end]), r)
+            for q, c, end, r in zip(self.q.tolist(), self.count.tolist(), ends, self.rho.tolist())
+        ]
 
 
 def _read_sets(system, moduli):
-    """For the (p, v) parts of the (q, parts, ...) items, flattened, where
-    an item without parts has the part _UNIT: the size of each part's
-    local set, the start of its rows in the store (the unit reads the zero
-    row at 0) and its p^v, taken as 1 for an empty set. Many parts, all
-    stored, of moduli below 2^63 are read in one lookup. Otherwise one loop
-    over the items refuses a q >= 2^63, then reads its parts in ascending p
-    up to its first empty set, and the later parts count as empty, so that
-    a refusal names what a per-modulus loop meets first."""
-    keys = [key for item in moduli for key in item[1] or _UNIT]
-    if len(keys) > _FEW_PARTS and max(item[0] for item in moduli) < INT64_LIMIT:
-        pvs = np.array([p**v for p, v in keys], dtype=np.int64)
-        starts, sizes = system._cache.locate(pvs)
-        sizes[pvs == 1] = 1
-        if (sizes >= 0).all():
-            return sizes, starts, np.where(sizes > 0, pvs, 1)
-    read = []
-    for item in moduli:
-        require_int64(item[0], "modulus q")
-        at = (0, 1)
-        for key in item[1] or _UNIT:
-            if at[1] and key != _UNIT[0]:
-                at = system._read(*key)
-            read.append(at)
-    starts, sizes = np.array(read, dtype=np.int64).reshape(-1, 2).T
-    pvs = np.array([p**v for p, v in keys], dtype=np.int64)
-    return sizes, starts, np.where(sizes > 0, pvs, 1)
+    """The (3, parts) int64 table of the parts of the moduli, flattened,
+    where a q without parts has the part 1^0: the size of each part's local
+    set, the start of its rows in the store (the part 1^0 reads the zero
+    row at 0) and its p^v, taken as 1 for an empty set; and the part count
+    of each q, 1 for q = 1. Many parts are looked up in one vectorized
+    read, and the sets the store lacks are then read in order, each q's in
+    ascending p up to its first empty set; its later parts count as empty,
+    so that a refusal names what a per-modulus loop meets first. A few
+    parts are read one by one in that order."""
+    count, ps, vs = moduli.count, moduli.p, moduli.v
+    if not count.all():
+        at = (count.cumsum() - count)[count == 0]
+        ps, vs, count = np.insert(ps, at, 1), np.insert(vs, at, 0), np.maximum(count, 1)
+    if len(ps) <= _FEW_PARTS:
+        read, dead = [], None
+        owners = [i for i, c in enumerate(count.tolist()) for _ in range(c)]
+        for i, p, v in zip(owners, ps.tolist(), vs.tolist()):
+            start, size = (0, 1) if p == 1 else (0, 0) if i == dead else system._read(p, v)
+            dead = i if size == 0 else dead
+            read.append((size, start, p**v if size else 1))
+        return np.array(read, dtype=np.int64).reshape(-1, 3).T, count
+    pvs = ps**vs
+    starts, sizes = system._cache.locate(pvs)
+    sizes[pvs == 1] = 1
+    miss = np.flatnonzero(sizes < 0)
+    if len(miss):
+        first = (count.cumsum() - count).repeat(count)
+        for i in miss.tolist():
+            if (sizes[first[i] : i] == 0).any():
+                sizes[i] = 0
+            else:
+                starts[i], sizes[i] = system._read(int(ps[i]), int(vs[i]))
+    return np.array((sizes, starts, np.where(sizes > 0, pvs, 1))), count
 
 
 def _join_order(owner, pv):
@@ -389,12 +441,19 @@ def _join_order(owner, pv):
     return ((owner << 33) - np.minimum(pv, 1 << 32)).argsort(kind="stable")
 
 
+# a table slot (size, offset, p^v, m, inverse) where a modulus joins no set:
+# its rows meet one local row mod 1 with inverse 0, which keeps them
+_IDLE = np.array([1, 0, 1, 1, 0])[:, None, None]
+
+
 def _crt_fold(system, moduli):
-    """Assemble A_q for every (q, parts, ...) item at once, as one (T, n)
-    int64 array: the rows of each A_q in lexicographic order, the sets one
-    after another in the order of the items. The local sets are read as
-    `_read_sets` reads them; when every item has one set, the result is
-    those sets.
+    """Assemble A_q for every modulus at once, as one (T, n) int64 array:
+    the rows of each A_q in lexicographic order, the sets one after another
+    in the order of the moduli. `moduli` is a `ModuliColumns` block, or a
+    list of (q, parts, ...) items, which is read as its columns; a q >= 2^63
+    among the items is refused after the sets of the items before it are
+    read. The local sets are read as `_read_sets` reads them; when every
+    modulus has one set, the result is those sets.
 
     Otherwise each modulus joins its sets in descending p^v, the order one
     stable sort (`_join_order`) gives for all parts at once; an empty set,
@@ -408,16 +467,20 @@ def _crt_fold(system, moduli):
     with p^v < m, so the digit is solved modulo p^v: |y - x| < m and the
     inverse is below p^v, so every product stays below m * p^v <= q <
     2^63."""
-    sizes, starts, pvs = _read_sets(system, moduli)
-    locs, starts = system._cache.gather(starts, sizes)
-    counts = [len(item[1]) or 1 for item in moduli]
-    steps, count = max(counts, default=1), len(moduli)
-    if steps == 1:
+    if not isinstance(moduli, ModuliColumns):
+        for i, item in enumerate(moduli):
+            if item[0] >= INT64_LIMIT:
+                _read_sets(system, ModuliColumns.of_items(moduli[:i]))
+                require_int64(item[0], "modulus q")
+        moduli = ModuliColumns.of_items(moduli)
+    fields, counts = _read_sets(system, moduli)
+    locs, fields[1] = system._cache.gather(fields[1], fields[0])
+    if fields.shape[1] == len(counts):
         return locs
-    fields = np.array((sizes, starts, pvs))
+    steps, count = int(counts.max()), len(counts)
     # slot (i, j) of the table holds the j-th set that modulus i joins; the
     # slots in use, row by row, take the parts in the join order
-    used = np.arange(steps) < np.array(counts)[:, None]
+    used = np.arange(steps) < counts[:, None]
     table = np.empty((5, count, steps), dtype=np.int64)
     table[:] = _IDLE
     table[:3, used] = fields[:, _join_order(used.nonzero()[0], fields[2])]
@@ -569,28 +632,63 @@ def local_profile(system, x):
     return system._profile.setdefault(x, profile)
 
 
-def iter_supported(system, x, k=None):
-    """Yield (q, parts, rho) for every q <= x with a nonempty A_q, in
-    ascending q: `parts` are the (p, v) pairs of q and rho = |A_q|, the
-    product of the local sizes. With k set, only q with exactly k distinct
-    prime factors; otherwise q = 1 comes first as (1, (), 1)."""
+def supported_blocks(system, x, k=None):
+    """The q <= x with a nonempty A_q, in ascending q, as `ModuliColumns`
+    blocks with rho = |A_q|, the product of the local sizes; a block for
+    each _Q_BLOCK span of q that holds one. With k set, only q with exactly
+    k distinct prime factors; otherwise q = 1 comes first, alone."""
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return _iter_supported(system, x, k)
 
 
-# the q per block of `_iter_supported`'s support mask, and the span of
-# `spf` compared per block to find the primes
+def iter_supported(system, x, k=None):
+    """Yield (q, parts, rho) for every q <= x with a nonempty A_q, in
+    ascending q: `parts` are the (p, v) pairs of q and rho = |A_q|; the
+    items of `supported_blocks`."""
+    return (item for block in supported_blocks(system, x, k) for item in block.items())
+
+
+# the q per block of `_iter_supported`, and the span of `spf` that
+# `_support_mask` compares per block to find the primes
 _Q_BLOCK = 1 << 12
 _SPF_BLOCK = 1 << 16
 
 
 def _iter_supported(system, x, k):
     if x >= 1 and k is None:
-        yield 1, (), 1
+        one, none = np.ones(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        yield ModuliColumns(one, np.zeros(1, dtype=np.int64), none, none, one)
     if x < 2:
         return
     spf = spf_table(x)
+    supported = _support_mask(system, x, k, spf)
+    if supported is None:
+        return
+    # each block of supported q is factored at once and takes its rho from
+    # one read of the sizes
+    for a in range(2, x + 1, _Q_BLOCK):
+        qs = np.flatnonzero(supported[a : a + _Q_BLOCK]) + a
+        if not len(qs):
+            continue
+        count, p, v = spf_factor(qs, spf)
+        if k is not None:
+            keep = count == k
+            qs, count, p, v = qs[keep], count[keep], p[keep.repeat(count)], v[keep.repeat(count)]
+            if not len(qs):
+                continue
+        sizes = system._sizes(p, v)
+        # rho <= q^n, so int64 holds it unless x^n reaches 2^63
+        if x**system.dimension >= INT64_LIMIT:
+            sizes = sizes.astype(object)
+        yield ModuliColumns(qs, count, p, v, np.multiply.reduceat(sizes, count.cumsum() - count))
+
+
+def _support_mask(system, x, k, spf):
+    """The boolean mask of the q <= x that no empty p^v divides exactly,
+    after the sets of the primes are stored; None when no q <= x has k
+    distinct prime factors. Its arrays of prime powers are freed on
+    return, so that the stream holds only `spf` and the mask."""
     # the primes are the q with spf[q] = q, compared block by block in int32
     ends = [*range(2, x + 1, _SPF_BLOCK), x + 1]
     primes = np.concatenate(
@@ -600,7 +698,8 @@ def _iter_supported(system, x, k):
     # every p^v <= x, and the smallest q with k distinct prime factors that
     # p^v divides exactly: p^v times the k - 1 smallest other primes (p^v
     # itself without k)
-    small = primes[: np.searchsorted(primes, math.isqrt(x), side="right")].tolist()
+    root = math.isqrt(x)
+    small = primes[: np.searchsorted(primes, root, side="right")].tolist()
     higher = [(p, v) for p in small for v in range(2, x.bit_length()) if p**v <= x]
     ps = np.concatenate([primes, np.array([p for p, _ in higher], dtype=np.int64)])
     vs = np.concatenate([np.ones_like(primes), np.array([v for _, v in higher], dtype=np.int64)])
@@ -608,7 +707,7 @@ def _iter_supported(system, x, k):
     if k is not None and k > 1:
         head = primes[:k].tolist()
         if len(head) < k or math.prod(head) > x:
-            return
+            return None
         least *= np.where(np.isin(ps, head[:-1]), math.prod(head) // ps, math.prod(head[:-1]))
     # read the local sets of the p^v with least <= x in that order, as a
     # loop over ascending q would, so that a refusal names the prime power
@@ -620,34 +719,27 @@ def _iter_supported(system, x, k):
     empty = system._sizes(ps, vs) == 0
     supported = np.ones(x + 1, dtype=bool)
     supported[:2] = False
-    for p, pv in zip(ps[empty].tolist(), (ps**vs)[empty].tolist()):
+    low = empty & (ps <= root)
+    for p, pv in zip(ps[low].tolist(), (ps**vs)[low].tolist()):
         # clear the multiples of p^v, then restore those of p^(v+1)
         keep = supported[pv * p :: pv * p].copy()
         supported[pv::pv] = False
         supported[pv * p :: pv * p] = keep
-    # each block of supported q takes its rho from one read of the sizes
-    for a in range(2, x + 1, _Q_BLOCK):
-        qs = (np.flatnonzero(supported[a : a + _Q_BLOCK]) + a).tolist()
-        factors = [tuple(spf_factor(q, spf)) for q in qs]
-        items = [(q, parts) for q, parts in zip(qs, factors) if k is None or len(parts) == k]
-        if not items:
-            continue
-        flat = np.array([part for _, parts in items for part in parts], dtype=np.int64)
-        counts = np.array([len(parts) for _, parts in items])
-        sizes = system._sizes(flat[:, 0], flat[:, 1])
-        # rho <= q^n, so int64 holds it unless x^n reaches 2^63
-        if x**system.dimension >= INT64_LIMIT:
-            sizes = sizes.astype(object)
-        rho = np.multiply.reduceat(sizes, counts.cumsum() - counts)
-        for (q, parts), r in zip(items, rho.tolist()):
-            yield q, parts, r
+    # an empty p > sqrt(x) has v = 1 and no multiple of p^2 up to x, and its
+    # multiples m * p have m < sqrt(x): one pass per cofactor m. These p
+    # come in ascending order, since least is p times a constant for them
+    high = ps[empty & (ps > root)]
+    for m in range(1, x // int(high[0]) + 1 if len(high) else 1):
+        supported[m * high[: high.searchsorted(x // m, side="right")]] = False
+    return supported
 
 
 def supported_moduli(system, x, k=None):
     """All q <= x with a nonempty assembled set, ascending; with k set,
     only q with exactly k distinct prime factors. q = 1 belongs to the
     unrestricted set."""
-    return ModulusSet(x=x, k=k, members=tuple(q for q, _, _ in iter_supported(system, x, k)))
+    members = tuple(q for block in supported_blocks(system, x, k) for q in block.q.tolist())
+    return ModulusSet(x=x, k=k, members=members)
 
 
 def fractional_points(rs):
@@ -667,9 +759,10 @@ def prime_support_stat(system, x):
 
 
 def numerators_1d(system, moduli):
-    """The sorted int64 numerators of A_q for each (q, parts, rho) item of a
-    1-dimensional system, concatenated into one flat array, where A_q
-    takes rho entries: one CRT fold for all of them."""
+    """The sorted int64 numerators of A_q for each modulus of a
+    1-dimensional system, a `ModuliColumns` block or a list of (q, parts,
+    ...) items, concatenated into one flat array: one CRT fold for all of
+    them."""
     if system.dimension != 1:
         raise ValueError("numerators_1d requires a 1-dimensional system")
     return _crt_fold(system, moduli)[:, 0]

@@ -171,13 +171,26 @@ def spf_table(limit):
 
 
 def spf_factor(q, spf):
-    """[(p, v)] via a precomputed smallest-prime-factor table."""
-    out = []
-    while q > 1:
-        p = int(spf[q])
-        v = 0
-        while q % p == 0:
-            q //= p
-            v += 1
-        out.append((p, v))
-    return out
+    """Factor through a precomputed smallest-prime-factor table. For one
+    int q, the [(p, v)] pairs; for an int64 array of q, three int64
+    columns: the part count of each q, and the flat p and v of the parts, q
+    by q in ascending p. Each pass peels the smallest prime off every q at
+    once, so a block takes at most log2(max q) passes."""
+    if np.ndim(q) == 0:
+        _, ps, vs = spf_factor(np.array([q], dtype=np.int64), spf)
+        return list(zip(ps.tolist(), vs.tolist()))
+    rest = np.array(q, dtype=np.int64)
+    # peeled[i, j]: the j-th smallest prime factor of q[i] with multiplicity,
+    # 0 past the last; spf[1] = 0, so a finished q stays 1
+    peeled = np.zeros((len(rest), max(int(rest.max(initial=1)).bit_length() - 1, 0)), dtype=np.int64)
+    for j in range(peeled.shape[1]):
+        if not (rest > 1).any():
+            break
+        p = peeled[:, j] = spf[rest]
+        rest //= np.maximum(p, 1)
+    # a part starts where the prime changes along a row
+    new = peeled > 0
+    new[:, 1:] &= peeled[:, 1:] != peeled[:, :-1]
+    starts = np.flatnonzero(new[peeled > 0])
+    vs = np.diff(starts, append=np.count_nonzero(peeled))
+    return new.sum(axis=1), peeled[new], vs

@@ -28,6 +28,7 @@ from crt_equidist.analysis import (
 )
 from crt_equidist.crt_sets import (
     LocalSystem,
+    ModuliColumns,
     TorusPointSet,
     fractional_points,
     hyperplane_max_local,
@@ -35,6 +36,7 @@ from crt_equidist.crt_sets import (
     load_local_system,
     prime_support_stat,
     residue_set,
+    supported_blocks,
     supported_moduli,
 )
 from crt_equidist.experiments import build_system
@@ -1344,7 +1346,8 @@ def test_batched_1d_path_exact_for_large_moduli():
     for sets, ahead in ((rounding, 1), (wrapping, 86)):
         s = sys_from_dict(1, sets)
         chunk = [(3, ((3, 1),), 1)] * ahead + [(3 * P, parts, len(sets[P]))]
-        columns = analysis._chunk_columns(s, chunk, ((Fraction(0), Fraction(1, 2)),), None)
+        cols = ModuliColumns.of_items(chunk)._replace(rho=np.array([rho for *_, rho in chunk]))
+        columns = analysis._chunk_columns(s, cols, ((Fraction(0), Fraction(1, 2)),), None)
         rows = list(zip(*(c.tolist() for c in columns)))
         for (q, parts, rho), row in zip(chunk[-2:], rows[-2:]):
             pts = residue_set(s, q, parts).array[:, 0]
@@ -1411,8 +1414,9 @@ def test_chunked_scores_equal_the_per_modulus_loop(monkeypatch):
 def test_batched_1d_path_scans_once_per_chunk(monkeypatch):
     # a chunk closes before the item that would take it past the budget
     items = [(q, (), rho) for q, rho in enumerate((1, 5, 3000, 2, 2, 2040, 8, 1), 1)]
+    cols = ModuliColumns.of_items(items)._replace(rho=np.array([rho for *_, rho in items]))
     assert analysis._POINT_BUDGET == 2048
-    assert [[q for q, _, _ in chunk] for chunk in analysis._point_chunks(iter(items))] == [
+    assert [chunk.q.tolist() for chunk in analysis._point_chunks(iter([cols]))] == [
         [1, 2], [3], [4, 5, 6], [7, 8]
     ]
     calls = {"scan": 0, "fold": 0}
@@ -1430,10 +1434,48 @@ def test_batched_1d_path_scans_once_per_chunk(monkeypatch):
     monkeypatch.setattr(analysis, "numerators_1d", counting_fold)
     s = roots_system(X2P1)
     st = aggregate_stats(s, 20000)
-    chunks = sum(1 for _ in analysis._point_chunks(iter_supported(s, 20000)))
+    chunks = sum(1 for _ in analysis._point_chunks(supported_blocks(s, 20000)))
     assert calls == {"scan": chunks, "fold": chunks}
     assert chunks <= st.point_total // analysis._POINT_BUDGET + 2
     assert st.modulus_count > 100 * chunks
+
+
+def _greedy_chunks(rhos, budget):
+    """The item loop that `_point_chunks` replaced: a chunk closes before
+    the item that would take its rho sum past the budget."""
+    chunks, chunk, points = [], [], 0
+    for i, rho in enumerate(rhos):
+        if chunk and points + rho > budget:
+            chunks.append(chunk)
+            chunk, points = [], 0
+        chunk.append(i)
+        points += rho
+    return chunks + [chunk] if chunk else chunks
+
+
+def test_point_chunks_are_the_same_in_any_blocks():
+    # chunks run across block edges; a modulus over the budget stands alone
+    rng = random.Random(2324)
+    for trial in range(60):
+        rhos = [rng.choice((1, 2, 7, 300, 2047, 2048, 2049, 5000)) for _ in range(rng.randrange(1, 80))]
+        items = [(q, ((q, 1),), rho) for q, rho in enumerate(rhos, 2)]
+        cols = ModuliColumns.of_items(items)._replace(rho=np.array(rhos))
+        edges = sorted(rng.sample(range(1, len(items)), min(len(items) - 1, rng.randrange(0, 6))))
+        blocks = [cols.cut(a, b) for a, b in zip([0, *edges], [*edges, len(items)])]
+        got = list(analysis._point_chunks(iter(blocks)))
+        assert [chunk.q.tolist() for chunk in got] == [[i + 2 for i in c] for c in _greedy_chunks(rhos, 2048)]
+        # each chunk carries its own parts
+        assert all(np.array_equal(chunk.p, chunk.q) and (chunk.count == 1).all() for chunk in got)
+
+
+@pytest.mark.parametrize("spec", ["poly:1,0,1", "graph:1,0,1:0,0,1"])
+def test_aggregate_refuses_an_unknown_disc_mode_before_any_work(spec):
+    system = build_system(spec)
+    for mode in ("exct", "Exact", "", None):
+        with pytest.raises(ValueError, match="disc_mode must be auto, exact or bounds"):
+            aggregate_stats(system, 100, disc_mode=mode, H=2)
+    assert len(system._cache) == 0 and not system._profile
+    assert aggregate_stats(system, 30, disc_mode="bounds", H=2).method == "erdos_turan"
 
 
 def test_sweep_past_support_limit_names_the_smallest_prime_power(tmp_path):

@@ -23,6 +23,7 @@ from crt_equidist.crt_sets import (
     prime_support_stat,
     residue_set,
     save_local_system,
+    supported_blocks,
     supported_moduli,
 )
 from crt_equidist.generators import IntPolynomial, full_system, roots_system
@@ -59,7 +60,8 @@ def test_iter_supported_factors_only_supported_moduli(monkeypatch):
     real = crt_sets.spf_factor
 
     def counting_factor(q, spf):
-        factored.append(q)
+        # one call per block of q, as an int64 array
+        factored.extend(q.tolist())
         return real(q, spf)
 
     monkeypatch.setattr(crt_sets, "spf_factor", counting_factor)
@@ -836,3 +838,72 @@ def test_iter_supported_is_the_same_in_any_blocks(monkeypatch):
         monkeypatch.setattr(crt_sets, "_Q_BLOCK", 5)
         assert {k: list(iter_supported(sys_from_dict(n, sets), x, k)) for k in (None, 1, 2)} == want, (n, x)
         monkeypatch.undo()
+
+
+def _per_q_items(sets, x, k):
+    """(q, parts, rho) for every supported q <= x, by trial division."""
+    out = [(1, (), 1)] if k is None and x >= 1 else []
+    for q in range(2, x + 1):
+        parts = tuple(trial_factorize(q))
+        rho = math.prod(len(sets.get(p**v, ())) for p, v in parts)
+        if rho and (k is None or len(parts) == k):
+            out.append((q, parts, rho))
+    return out
+
+
+def test_supported_blocks_equal_the_per_q_items(tmp_path, monkeypatch):
+    # `file:` systems, where every prime power the file leaves out is empty
+    rng = random.Random(2323)
+    path = tmp_path / "system.txt"
+    for trial in range(10):
+        n, x = rng.choice([1, 2]), rng.randrange(2, 700)
+        sets = random_local_sets(rng, n, x)
+        lines = ["# random"]
+        for pv, rows in sets.items():
+            # the keys are prime powers p^v
+            ((p, v),) = trial_factorize(pv)
+            lines += [f"{p} {v} {','.join(map(str, t))}" for t in sorted(rows)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for block_q in (5, 4096):
+            monkeypatch.setattr(crt_sets, "_Q_BLOCK", block_q)
+            for k in (None, 1, 2):
+                want = _per_q_items(sets, x, k)
+                blocks = list(supported_blocks(load_local_system(path, dimension=n, support_limit=x), x, k))
+                for block in blocks:
+                    assert all(c.dtype == np.int64 for c in block) and len(block.q), (trial, k)
+                    # one block per span of _Q_BLOCK q, past q = 1
+                    assert block.q[0] == 1 or (block.q[-1] - 2) // block_q == (block.q[0] - 2) // block_q
+                got = [item for block in blocks for item in block.items()]
+                assert got == want, (trial, block_q, k)
+                s = load_local_system(path, dimension=n, support_limit=x)
+                assert list(iter_supported(s, x, k)) == want
+                assert supported_moduli(s, x, k).members == tuple(q for q, _, _ in want)
+            monkeypatch.undo()
+
+
+def test_sizes_look_each_missing_set_up_once(monkeypatch):
+    # a system without a bulk rule: every set is missed, and some twice
+    log = []
+
+    def rule(p, v):
+        log.append((p, v))
+        return {(a,) for a in range(0, p**v, 3 if p % 2 else 2)}
+
+    s = LocalSystem(1, rule)
+    s.local_set(5, 1)
+    finds = []
+    real = s._cache.find
+    monkeypatch.setattr(s._cache, "find", lambda p, v: finds.append((p, v)) or real(p, v))
+    ps = np.array([7, 2, 5, 7, 3, 2, 11, 3], dtype=np.int64)
+    vs = np.array([1, 3, 1, 1, 2, 3, 1, 1], dtype=np.int64)
+    sizes = s._sizes(ps, vs)
+    assert finds == []
+    # each set the store lacked was made once, in the order of first sight
+    assert log == [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (3, 1)]
+    fresh = LocalSystem(1, rule)
+    assert sizes.tolist() == [fresh.local_size(p, v) for p, v in zip(ps.tolist(), vs.tolist())]
+    # a size rule answers a miss without storing or looking it up
+    s = LocalSystem(1, rule, size_rule=lambda p, v: p**v // 2)
+    monkeypatch.setattr(s._cache, "find", lambda p, v: finds.append((p, v)) or real(p, v))
+    assert s._sizes(ps, vs).tolist() == [p**v // 2 for p, v in zip(ps.tolist(), vs.tolist())]
+    assert finds == [] and len(s._cache) == 0

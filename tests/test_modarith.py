@@ -154,6 +154,47 @@ def test_spf_table_agrees_with_trial_division():
         assert spf_factor(q, spf) == factor_tuples(q)
 
 
+def _spf_factor_loop(q, spf):
+    """The per-q loop that the array form of `spf_factor` replaced: divide
+    out the table's smallest prime until q is 1."""
+    out = []
+    while q > 1:
+        p = int(spf[q])
+        v = 0
+        while q % p == 0:
+            q //= p
+            v += 1
+        out.append((p, v))
+    return out
+
+
+def _columns_as_lists(count, ps, vs):
+    ends = np.cumsum(count).tolist()
+    parts = list(zip(ps.tolist(), vs.tolist()))
+    return [parts[end - c : end] for c, end in zip(count.tolist(), ends)]
+
+
+def test_spf_factor_array_form_equals_the_per_q_loop():
+    spf = spf_table(10**5)
+    qs = np.arange(1, 10**5 + 1)
+    count, ps, vs = spf_factor(qs, spf)
+    assert count.dtype == ps.dtype == vs.dtype == np.int64
+    assert len(ps) == len(vs) == count.sum()
+    want = [_spf_factor_loop(q, spf) for q in qs.tolist()]
+    assert _columns_as_lists(count, ps, vs) == want
+    assert [spf_factor(q, spf) for q in range(1, 10**5 + 1, 7)] == want[::7]
+    # blocks in any order, with repeats, q = 1 and empty blocks; a table of
+    # 2^22 entries, since q is looked up in it (a table to 2^40 would take
+    # 4 TB)
+    rng = random.Random(2323)
+    big = spf_table(1 << 22)
+    for trial in range(30):
+        block = [rng.randrange(1, 1 << rng.choice((3, 10, 22))) for _ in range(rng.randrange(0, 400))]
+        block += [1 << 21, 3**13, 2 * 3 * 5 * 7 * 11 * 13 * 17][: trial % 4]
+        got = _columns_as_lists(*spf_factor(np.array(block, dtype=np.int64), big))
+        assert got == [_spf_factor_loop(q, big) for q in block] == [factor_tuples(q) for q in block], trial
+
+
 def _spf_table_masked(limit):
     """Reference: each p <= sqrt(limit) not marked yet writes itself into
     the unmarked slots of its multiples from p^2 on, in ascending p."""
