@@ -441,6 +441,21 @@ def _join_order(owner, pv):
     return ((owner << 33) - np.minimum(pv, 1 << 32)).argsort(kind="stable")
 
 
+def _row_order(seg, rows, count, top):
+    """The order of the rows of a 2-D array by segment (below `count`),
+    then lexicographically, for entries below `top`: one stable argsort of
+    the packed key seg * top^n + sum of x_i * top^(n - 1 - i) over the n
+    columns where count * top^n < 2^63, else `np.lexsort`. Rows within a
+    segment are distinct, so both give the same order."""
+    if count * top ** rows.shape[1] >= INT64_LIMIT:
+        return np.lexsort((*rows.T[::-1], seg))
+    key = seg.copy()
+    for column in rows.T:
+        key *= top
+        key += column
+    return key.argsort(kind="stable")
+
+
 # a table slot (size, offset, p^v, m, inverse) where a modulus joins no set:
 # its rows meet one local row mod 1 with inverse 0, which keeps them
 _IDLE = np.array([1, 0, 1, 1, 0])[:, None, None]
@@ -466,7 +481,8 @@ def _crt_fold(system, moduli):
     (one comprehension). A join takes z = x (mod m) and z = y (mod p^v)
     with p^v < m, so the digit is solved modulo p^v: |y - x| < m and the
     inverse is below p^v, so every product stays below m * p^v <= q <
-    2^63."""
+    2^63. The joined rows are put in order at the end by `_row_order`,
+    with the largest q as the base of the packed key."""
     if not isinstance(moduli, ModuliColumns):
         for i, item in enumerate(moduli):
             if item[0] >= INT64_LIMIT:
@@ -501,7 +517,7 @@ def _crt_fold(system, moduli):
         off, pv, mod, inv = table[1:, seg, step, None]
         x = arr.repeat(rep, axis=0)
         arr = x + mod * ((locs[off[:, 0] + k] - x) * inv % pv)
-    return arr[np.lexsort((*arr.T[::-1], seg))]
+    return arr[_row_order(seg, arr, count, int(moduli.q.max()))]
 
 
 def residue_set(system, q, parts=None):

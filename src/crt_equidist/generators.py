@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crt_sets import LocalSystem
+from .crt_sets import LocalSystem, _row_order
 from .modarith import INT64_LIMIT, mod_inverse, require_int64
 
 # primes per block of the batched root finder, bounding its working memory
@@ -170,31 +170,40 @@ def _degrees(a):
 
 
 def _reduce_rows(a, g, p):
-    """The columns of a (entries in [0, p)) mod the monic columns of g, all
-    of one degree k; overwrites a and returns its low k rows."""
+    """The columns of a mod (g, p), for monic columns g of one degree k with
+    entries in [0, p); overwrites a and returns its low k rows, in [0, p).
+    The entries of a need not be reduced: each top row is reduced just
+    before it multiplies g, the rows below take the product unreduced, and
+    the k rows left are reduced once at the end. A row below the top one
+    receives at most k - 1 such subtractions, each at most (p - 1)^2, and
+    numpy's % is a floor mod, so negative entries reduce into [0, p)."""
     k = g.shape[0] - 1
     for t in range(a.shape[0] - 1, k - 1, -1):
-        a[t - k : t] = (a[t - k : t] - a[t] * g[:k]) % p
-    return a[:k]
+        a[t - k : t] -= a[t] % p * g[:k]
+    return a[:k] % p
 
 
 def _mulmod_rows(a, b, g, p):
-    """a * b mod (g, p) for residue columns of height k. A coefficient of
-    the product sums at most k terms below (p - 1)^2 before it is reduced."""
+    """a * b mod (g, p) for residue columns of height k, in [0, p). A row of
+    the product sums at most k terms of at most (p - 1)^2 and is not reduced
+    before `_reduce_rows`, whose k - 1 subtractions keep every entry in
+    [-(k - 1)(p - 1)^2, k (p - 1)^2]: within d (p - 1)^2 < 2^63 for k <= d."""
     k = a.shape[0]
     prod = np.zeros((2 * k - 1, a.shape[1]), dtype=a.dtype)
     for i in range(k):
         prod[i : i + k] += a[i] * b
-    return _reduce_rows(prod % p, g, p)
+    return _reduce_rows(prod, g, p)
 
 
 def _times_linear(a, c, g, p):
-    """(X + c) * a mod (g, p) for residue columns a of height k."""
-    k = a.shape[0]
-    step = np.zeros((k + 1, a.shape[1]), dtype=a.dtype)
-    step[1:] = a
-    step[:k] += c * a
-    return _reduce_rows(step % p, g, p)
+    """(X + c) * a mod (g, p) for residue columns a of height k >= 2, in
+    [0, p). The top coefficient of (X + c) a is a's top row, already
+    reduced, so it multiplies g at once, and each of the k rows left is
+    reduced once: before that it lies within (p - 1)^2 + p - 1 <= 2 (p - 1)^2
+    of 0, inside the int64 rule of `_mulmod_rows`."""
+    step = c * a - a[-1] * g[:-1]
+    step[1:] += a[:-1]
+    return step % p
 
 
 def _pow_linear_rows(c, e, g, p):
@@ -340,9 +349,10 @@ def _block_roots(coeffs, p, rng):
             np.concatenate([c for c, _ in parts]), np.concatenate([u for _, u in parts], axis=1), p, rng, hits, pending
         )
     cols = np.concatenate([c for c, _ in hits])
-    # every root is below its prime, so int64 holds it on either kind of column
+    # every root is below its prime, so int64 holds it on either kind of
+    # column, and the roots sort by the key cols * max(p) + root
     roots = np.concatenate([v for _, v in hits]).astype(np.int64)
-    return np.bincount(cols, minlength=len(p)), roots[np.lexsort((roots, cols))]
+    return np.bincount(cols, minlength=len(p)), roots[_row_order(cols, roots[:, None], len(p), int(p.max()))]
 
 
 def prime_root_arrays(f, primes):
@@ -367,7 +377,7 @@ def prime_root_arrays(f, primes):
     vanish = _int_mod(math.gcd(*f.coeffs), primes) == 0
     if vanish.any():
         raise ValueError(f"polynomial {f} is identically zero mod {int(primes[vanish].min())}")
-    # a coefficient of a product sums up to d terms below (p - 1)^2
+    # an unreduced product entry lies within d (p - 1)^2 of 0 (`_mulmod_rows`)
     wide = primes - 1 > math.isqrt((INT64_LIMIT - 1) // max(f.degree, 1))
     cuts = [0, *(np.flatnonzero(np.diff(wide)) + 1).tolist(), len(primes)]
     # the splitting constants only steer the search: the sorted roots do not

@@ -31,6 +31,7 @@ from crt_equidist.modarith import crt_combine, prime_array, require_int64
 from oracles import (
     brute_residue_set_1d,
     brute_residue_set_2d,
+    is_prime_slow,
     oracle_hyperplane_max_local,
     oracle_hyperplane_max_q,
     random_local_sets,
@@ -314,6 +315,46 @@ def test_crt_fold_near_2_63():
         out = _assert_same_folds(n, 7, [items, items[::-1]] + [[item] for item in items], empty=0, support_limit=2**63)
         qs = np.repeat([q for q, _ in items], [len(a) for a in out[2:]])
         assert (out[0] >= 0).all() and (out[0] < qs[:, None]).all()
+
+
+def test_crt_fold_sorts_by_packed_key_and_by_lexsort(tmp_path, monkeypatch):
+    # random `file:` systems: a fold with count * max(q)^n below 2^63 puts
+    # its rows in order by one packed key, a wider one by np.lexsort, and
+    # both equal the reference. Primes just below 2^21 take q^3 past 2^63
+    # in three dimensions, and moduli near 2^63 take q past it in one and
+    # two (the file's primes stay small enough for its primality check).
+    rng = random.Random(2424)
+    near_2_21 = [2097143, 2097133, 2097091]
+    small = [(q, tuple(trial_factorize(q))) for q in range(1, 400)]
+    cubes = [(c * p, tuple(trial_factorize(c)) + ((p, 1),)) for p in near_2_21 for c in (2, 3, 6, 9)]
+    wide = [
+        (2**40 * 3**14, ((2, 40), (3, 14))),
+        ((2**31 - 1) * 2147483659, ((2**31 - 1, 1), (2147483659, 1))),
+        (2**20 * 3**12 * 5**8 * 7, ((2, 20), (3, 12), (5, 8), (7, 1))),
+    ]
+    assert all(map(is_prime_slow, near_2_21))
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(len(keys)) or lexsort(keys))
+    path = tmp_path / "system.txt"
+    for n in (1, 2, 3):
+        chunks = [small, small[::7] + cubes, small[::5] + wide, cubes + wide, cubes[:2]]
+        parts = sorted({pv for chunk in chunks for _, ps in chunk for pv in ps})
+        lines = [f"{p} {v} {','.join(str(rng.randrange(p**v)) for _ in range(n))}"
+                 for p, v in parts if rng.random() > 0.1 for _ in range(rng.randint(1, 4))]
+        path.write_text("\n".join(["# random"] + lines) + "\n", encoding="utf-8")
+        branches = []
+        for chunk in chunks:
+            fold, ref = (load_local_system(path, dimension=n, support_limit=2**63) for _ in range(2))
+            for _, ps in chunk:
+                for p, v in ps:
+                    fold.local_set(p, v)
+            lexsorts.clear()
+            got = crt_sets._crt_fold(fold, chunk)
+            branches.append(bool(lexsorts))
+            assert branches[-1] == (len(chunk) * max(q for q, _ in chunk) ** n >= 2**63)
+            assert np.array_equal(got, _per_modulus_fold(ref, chunk)), (n, len(chunk))
+        assert True in branches and False in branches, n
 
 
 def test_residue_set_large_moduli_vs_crt_combine():

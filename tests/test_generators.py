@@ -721,6 +721,90 @@ def test_roots_mod_primes_invariant_under_blocks_and_tries(monkeypatch):
                 assert roots == tuple(sorted(brute_poly_roots(f, p))), (f.coeffs, p)
 
 
+def _edge_prime(d):
+    """The largest prime p with d (p - 1)^2 < 2^63: the widest prime that
+    still runs on int64 rows for a polynomial of degree d."""
+    p = math.isqrt((2**63 - 1) // d) + 1
+    while not is_prime_slow(p):
+        p -= 1
+    return p
+
+
+def _ring_results(a, b, c, e, g, p):
+    """`_mulmod_rows`, `_times_linear` and `_pow_linear_rows` on one input."""
+    return (
+        generators._mulmod_rows(a, b, g, p),
+        generators._times_linear(a, c, g, p),
+        generators._pow_linear_rows(c, e, g, p),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_ring_arithmetic_at_the_edge_of_the_int64_rule(d, monkeypatch):
+    # the products are reduced once per output row, so their entries reach
+    # k (p - 1)^2 and -(k - 1)(p - 1)^2 unreduced; at the widest int64 prime
+    # for degree d, int64 rows give what Python-int rows give, in [0, p)
+    p = _edge_prime(d)
+    assert d * (p - 1) ** 2 < 2**63
+    rng = random.Random(2400 + d)
+    cols = 5
+    for k in range(2, d + 1):
+        def draw(*shape):
+            return np.array([rng.randrange(p) for _ in range(math.prod(shape))], dtype=np.int64).reshape(shape)
+
+        # worst case: every entry p - 1, and g = X^k + (p - 1)(X^(k-1) + ... + 1)
+        top = np.full((k, cols), p - 1, dtype=np.int64)
+        g_top = np.vstack((top, np.ones((1, cols), dtype=np.int64)))
+        g_rand = np.vstack((draw(k, cols), np.ones((1, cols), dtype=np.int64)))
+        half = np.full(cols, (p - 1) // 2, dtype=np.int64)
+        cases = [
+            (top, top, top[0], half, g_top),
+            (top, top, top[0], draw(cols), g_rand),
+            (draw(k, cols), draw(k, cols), draw(cols), half, g_rand),
+            (draw(k, cols), top, draw(cols), draw(cols), g_top),
+        ]
+        pp = np.full(cols, p, dtype=np.int64)
+        for a, b, c, e, g in cases:
+            got = _ring_results(a, b, c, e, g, pp)
+            want = _ring_results(*(x.astype(object) for x in (a, b, c)), e, g.astype(object), pp.astype(object))
+            for x, y in zip(got, want):
+                assert x.dtype == np.int64 and y.dtype == object
+                assert x.tolist() == y.tolist()
+                assert ((x >= 0) & (x < p)).all()
+    # the root finder runs that prime on int64 rows and finds the chosen roots
+    kinds = []
+    block_roots = generators._block_roots
+
+    def spy(coeffs, primes, rng):
+        kinds.append(coeffs.dtype)
+        return block_roots(coeffs, primes, rng)
+
+    monkeypatch.setattr(generators, "_block_roots", spy)
+    chosen = (p - 1, 1, 2**30 + 3, p - 2, 7)[:d]
+    sizes, roots = prime_root_arrays(_with_roots(chosen), [p])
+    assert kinds == [np.int64]
+    assert sizes.tolist() == [d] and roots.tolist() == sorted(chosen)
+
+
+def test_block_roots_sort_by_packed_key_and_by_lexsort(monkeypatch):
+    # a block whose count * max(p) passes 2^63 orders its roots by
+    # np.lexsort, a narrower one by the packed key cols * max(p) + root;
+    # both give the roots of each prime alone. For a quartic, the primes
+    # near 2^31 run on Python-int rows, so they share a block with 2^61 - 1.
+    f = _with_roots((1, 5, 2**20, 2**40 + 1))
+    near = [2**31 - 1, 2147483659, 2147483693, 2147483713, 2147483743]
+    assert all(map(is_prime_slow, near))
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(len(keys)) or lexsort(keys))
+    for primes, packed in ((near[::-1] + [2**61 - 1] + near, False), (near, True)):
+        lexsorts.clear()
+        got = roots_mod_primes(f, primes)
+        assert lexsorts == ([] if packed else [2])
+        assert got == [tuple(_split_roots(f, p)) for p in primes]
+        assert got == [roots_mod_primes(f, [p])[0] for p in primes]
+
+
 def test_roots_mod_primes_vs_brute_force_below_2000():
     # random polynomials, some with repeated roots; a leading coefficient
     # of 30 or 210 vanishes mod 2, 3, 5 (and 7), where the degree drops;
